@@ -61,7 +61,13 @@ void BM_MiSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(baselines::solve_multi_installment(p, 1000.0, installments));
   }
 }
-BENCHMARK(BM_MiSolve)->Args({10, 2})->Args({10, 4})->Args({50, 4});
+BENCHMARK(BM_MiSolve)
+    ->Args({10, 2})
+    ->Args({10, 4})
+    ->Args({50, 1})
+    ->Args({50, 2})
+    ->Args({50, 3})
+    ->Args({50, 4});
 
 void BM_FactoringChunks(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

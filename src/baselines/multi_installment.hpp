@@ -18,8 +18,11 @@
 /// form a decreasing geometric sequence with ratio B/(B+S) on homogeneous
 /// platforms.
 ///
-/// The just-in-time/simultaneous-finish conditions form an (N*x) x (N*x)
-/// linear system, solved with the in-repo dense LU (`rumr::linalg`).
+/// The just-in-time/simultaneous-finish conditions are solved over the
+/// arrival times t_v of the N*x chunks: row v of that system couples only
+/// t_{v-1}, t_v and t_{v+N}, and it is row-wise diagonally dominant, so
+/// Gaussian elimination without pivoting stays inside an (N*x) x (N+1) band
+/// and costs O(N^2 x) (a dense LU would cost O((N*x)^3)).
 
 #include <cstddef>
 #include <memory>
@@ -54,7 +57,8 @@ struct MiSchedule {
 ///
 /// Only the speeds and bandwidths of the platform are used (MI models no
 /// latencies). Heterogeneous platforms are supported by the same linear
-/// system. Throws std::invalid_argument for x == 0 or w_total <= 0.
+/// system. A singular or non-finite solve yields a uniform split with
+/// `clamped` set. Throws std::invalid_argument for x == 0 or w_total <= 0.
 [[nodiscard]] MiSchedule solve_multi_installment(const platform::StarPlatform& platform,
                                                  double w_total, std::size_t installments);
 

@@ -67,11 +67,16 @@ double predicted_makespan(const Aggregates& g, double w_total, double m, double 
   if (!std::isfinite(tau0)) return kInfinity;
   // Feasibility: every round time must exceed the largest cLat so all chunks
   // are positive. The sequence is monotone, so checking both ends suffices;
-  // walk the recurrence for the final value.
+  // the final value has the closed form
+  //   tau_{M-1} = tau* + (tau_0 - tau*) rho^{M-1},  tau* = beta / (1 - A),
+  // or tau_0 - beta (M-1) on the rho == 1 branch.
   const double floor_tau = g.max_clat + 1e-12 * std::max(1.0, std::abs(tau0));
-  double tau = tau0;
-  const std::size_t last = static_cast<std::size_t>(std::ceil(m)) - 1;
-  for (std::size_t j = 0; j < last; ++j) tau = (tau - g.beta) / g.a;
+  const double last = std::ceil(m) - 1.0;
+  double tau = tau0 - g.beta * last;
+  if (std::abs(g.a - 1.0) >= 1e-12) {
+    const double tau_star = g.beta / (1.0 - g.a);
+    tau = tau_star + (tau0 - tau_star) * std::pow(1.0 / g.a, last);
+  }
   if (!(tau0 > floor_tau) || !(tau > floor_tau) || !std::isfinite(tau)) return kInfinity;
   return g.sum_nlat + g.a * tau0 - g.c2 + (w_total + m * g.d) / g.s_total + g.max_tlat;
 }

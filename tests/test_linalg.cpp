@@ -1,4 +1,4 @@
-// Unit and property tests for the dense LU substrate (linalg/).
+// Unit and property tests for the test-only dense LU oracle (oracle/linalg/).
 
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
