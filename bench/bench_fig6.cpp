@@ -20,9 +20,8 @@ int main(int argc, char** argv) {
   bench::print_banner(std::cout, "Figure 6: fixed phase-1 percentage vs original RUMR", settings,
                       grid, errors.size(), reps);
 
-  std::vector<sweep::AlgorithmSpec> algorithms{sweep::rumr_spec()};
-  const std::vector<double> percents = {50.0, 60.0, 70.0, 80.0, 90.0};
-  for (double percent : percents) algorithms.push_back(sweep::rumr_fixed_spec(percent));
+  const std::vector<sweep::AlgorithmSpec> algorithms =
+      sweep::algorithms({"rumr", "rumr-50", "rumr-60", "rumr-70", "rumr-80", "rumr-90"});
 
   const sweep::SweepResult result = run_sweep(sweep::make_grid(grid), algorithms,
                                               bench::bench_sweep_options(settings, errors, reps));

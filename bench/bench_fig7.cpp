@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   bench::print_banner(std::cout, "Figure 7: in-order (plain-UMR) phase 1 vs original RUMR",
                       settings, grid, errors.size(), reps);
 
-  const std::vector<sweep::AlgorithmSpec> algorithms{sweep::rumr_spec(),
-                                                     sweep::rumr_inorder_spec()};
+  const std::vector<sweep::AlgorithmSpec> algorithms{sweep::algorithm("rumr"),
+                                                     sweep::algorithm("rumr-inorder")};
   const sweep::SweepResult result = run_sweep(sweep::make_grid(grid), algorithms,
                                               bench::bench_sweep_options(settings, errors, reps));
 

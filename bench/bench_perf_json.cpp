@@ -139,7 +139,7 @@ double sweep_cells_per_sec() {
       sweep::SweepPlatform::from_config({10, 1.5, 0.1, 0.05}),
       sweep::SweepPlatform::from_config({4, 2.0, 0.3, 0.1})};
   const std::vector<sweep::AlgorithmSpec> lineup = {
-      sweep::rumr_spec(), sweep::umr_spec(), sweep::factoring_spec()};
+      sweep::algorithm("rumr"), sweep::algorithm("umr"), sweep::algorithm("factoring")};
   sweep::SweepOptions options;
   options.errors = {0.0, 0.2, 0.4};
   options.repetitions = 8;

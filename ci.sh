@@ -3,7 +3,7 @@
 #
 #   ./ci.sh            all stages
 #   ./ci.sh release    one stage: release | asan-ubsan | tsan | tidy | lint |
-#                      metrics | jobs | sweep | race | chaos | serve | perf
+#                      chaos | serve | perf
 #
 # Stages (each uses the matching CMakePresets.json preset, building into
 # build/<preset>; every preset sets RUMR_WARNINGS_AS_ERRORS=ON):
@@ -21,24 +21,6 @@
 #               header self-sufficiency gate (every src/ header compiles as
 #               a standalone TU). Unlike tidy, this stage has no external
 #               dependency and always runs.
-#   metrics     self-auditing observability demo (tools/metrics_demo) under
-#               the release and asan-ubsan presets; every scenario's metrics
-#               must satisfy the check:: identity audits
-#   jobs        multi-job open-system demo (tools/jobs_demo) under the release
-#               and asan-ubsan presets; every run must pass
-#               check::audit_service_result and drain its admitted jobs
-#   sweep       sharded streaming sweep demo (tools/sweep_demo) under the
-#               release and asan-ubsan presets: byte-identity across thread
-#               counts, rep_block merge-tree tolerance, exactly-once
-#               streaming, and open-system thread invariance; the demo exits
-#               nonzero on any violation
-#   race        best-arm racing demo (tools/race_demo) under the release and
-#               asan-ubsan presets: every cell of the raced grid must certify
-#               a single winner at delta = 0.05 with an audit-clean
-#               elimination ledger, match the fixed-repetition argmin over
-#               the same seed lanes, save >= 3x the simulations, and be
-#               byte-identical across thread counts; nonzero exit on any
-#               violation
 #   chaos       seeded fault-injection campaign (tools/chaos_campaign) under
 #               the release and asan-ubsan presets: the small grid sweeps
 #               message loss x bandwidth degradation x worker MTBF x workload
@@ -60,14 +42,16 @@
 #               results/BENCH_history.jsonl for the trajectory
 #
 # The release, asan-ubsan, and tsan stages each finish with an explicit
-# `ctest -L regression` pass: the golden-trace replays and the DES
-# property/fuzz suite are the lockdown for kernel/engine rework, so they run
-# visibly in every sanitizer configuration, not just inside the full suite.
+# `ctest -L regression` pass: the golden-trace replays, the DES
+# property/fuzz suite, the determinism lint, and the self-auditing demos
+# (metrics_demo, jobs_demo, sweep_demo, race_demo; tests/CMakeLists.txt) are
+# the lockdown for kernel/engine rework, so they run visibly in every
+# sanitizer configuration, not just inside the full suite.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
-STAGES=("${@:-release asan-ubsan tsan tidy lint metrics jobs sweep race chaos serve perf}")
+STAGES=("${@:-release asan-ubsan tsan tidy lint chaos serve perf}")
 # Re-split in case the default string was taken as one word.
 read -r -a STAGES <<< "${STAGES[*]}"
 
@@ -76,9 +60,9 @@ banner() { printf '\n=== %s ===\n' "$*"; }
 # Reject typos up front, before any stage burns build time.
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    release|asan-ubsan|tsan|tidy|lint|metrics|jobs|sweep|race|chaos|serve|perf) ;;
+    release|asan-ubsan|tsan|tidy|lint|chaos|serve|perf) ;;
     *)
-      echo "ci.sh: unknown stage '$stage' (valid: release | asan-ubsan | tsan | tidy | lint | metrics | jobs | sweep | race | chaos | serve | perf)" >&2
+      echo "ci.sh: unknown stage '$stage' (valid: release | asan-ubsan | tsan | tidy | lint | chaos | serve | perf)" >&2
       exit 2
       ;;
   esac
@@ -138,56 +122,6 @@ for stage in "${STAGES[@]}"; do
       banner "header self-sufficiency [every src/ header as a standalone TU]"
       cmake --build --preset release -j "$JOBS" --target rumr_header_selfcheck
       ;;
-    metrics)
-      # The demo exits nonzero when any scenario's metrics violate the
-      # observability identities, so this is a real gate, not a smoke run.
-      for preset in release asan-ubsan; do
-        banner "configure+build metrics_demo [$preset]"
-        cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target metrics_demo
-        banner "metrics demo [$preset]"
-        "./build/$preset/tools/metrics_demo"
-      done
-      ;;
-    jobs)
-      # The demo exits nonzero when any open-system run fails its service
-      # audit or strands admitted jobs, so this is a real gate too.
-      for preset in release asan-ubsan; do
-        banner "configure+build jobs_demo [$preset]"
-        cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target jobs_demo
-        banner "jobs demo [$preset]"
-        "./build/$preset/tools/jobs_demo"
-      done
-      ;;
-    sweep)
-      # The demo exits nonzero when the sharded engine breaks its
-      # determinism contract (thread-count or shard-shape dependence,
-      # dropped/duplicated streamed cells), so this gates the sweep engine
-      # end to end through the rumr::Sweep facade.
-      for preset in release asan-ubsan; do
-        banner "configure+build sweep_demo [$preset]"
-        cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target sweep_demo
-        banner "sweep demo [$preset]"
-        "./build/$preset/tools/sweep_demo"
-      done
-      ;;
-    race)
-      # The demo exits nonzero when any raced cell fails to certify within
-      # budget, its elimination ledger fails check::audit_race_result, the
-      # raced winner disagrees with the fixed-repetition argmin, the
-      # simulations-saved ratio drops below 3x, or a thread count perturbs
-      # the result, so this gates the racing engine end to end through the
-      # rumr::Sweep and rumr::Race facades.
-      for preset in release asan-ubsan; do
-        banner "configure+build race_demo [$preset]"
-        cmake --preset "$preset"
-        cmake --build --preset "$preset" -j "$JOBS" --target race_demo
-        banner "race demo [$preset]"
-        "./build/$preset/tools/race_demo"
-      done
-      ;;
     chaos)
       # Every cell of the campaign self-audits (work conservation, banked-work
       # accounting, span sanity) and must converge within its event budget;
@@ -234,7 +168,7 @@ for stage in "${STAGES[@]}"; do
         --threshold 0.20 --history results/BENCH_history.jsonl
       ;;
     *)
-      echo "unknown stage '$stage' (release|asan-ubsan|tsan|tidy|lint|metrics|jobs|sweep|race|chaos|serve|perf)" >&2
+      echo "unknown stage '$stage' (release|asan-ubsan|tsan|tidy|lint|chaos|serve|perf)" >&2
       exit 2
       ;;
   esac

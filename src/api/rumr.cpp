@@ -9,6 +9,31 @@
 
 namespace rumr {
 
+namespace {
+
+/// Resolves a name-based line-up through the policy registry. An unknown
+/// name becomes a problem for validate() (and so for execute()) instead of
+/// an exception here; its placeholder keeps the line-up's length and
+/// rethrows the registry's error if it is ever built.
+std::vector<sweep::AlgorithmSpec> lineup_from_names(const std::vector<std::string>& names,
+                                                    std::vector<std::string>& problems) {
+  std::vector<sweep::AlgorithmSpec> specs;
+  specs.reserve(names.size());
+  for (const std::string& name : names) {
+    try {
+      specs.push_back(sweep::algorithm(name));
+    } catch (const config::ConfigError& error) {
+      problems.push_back("policy \"" + name + "\": " + error.what());
+      specs.push_back({name, [name](const platform::StarPlatform& p, double w, double e) {
+                         return config::make_policy(name, p, w, e);
+                       }});
+    }
+  }
+  return specs;
+}
+
+}  // namespace
+
 Run::Run()
     : desc_{platform::StarPlatform::homogeneous(platform::HomogeneousParams{})} {}
 
@@ -283,26 +308,8 @@ Race& Race::policies(std::vector<sweep::AlgorithmSpec> specs) {
 }
 
 Race& Race::policies(const std::vector<std::string>& names) {
-  policies_.clear();
   policy_problems_.clear();
-  policies_.reserve(names.size());
-  // Same up-front probe as Sweep::policies: report unknown names from
-  // validate() instead of aborting mid-race.
-  const platform::StarPlatform probe =
-      platform::StarPlatform::homogeneous(platform::HomogeneousParams{});
-  for (const std::string& name : names) {
-    try {
-      (void)config::make_policy(name, probe, 100.0, 0.0);
-    } catch (const config::ConfigError& error) {
-      policy_problems_.emplace_back("policy \"" + name + "\": " + error.what());
-    }
-    sweep::AlgorithmSpec spec;
-    spec.name = name;
-    spec.make = [name](const platform::StarPlatform& p, double w_total, double error) {
-      return config::make_policy(name, p, w_total, error);
-    };
-    policies_.push_back(std::move(spec));
-  }
+  policies_ = lineup_from_names(names, policy_problems_);
   return *this;
 }
 
@@ -422,26 +429,8 @@ Sweep& Sweep::policies(std::vector<sweep::AlgorithmSpec> specs) {
 }
 
 Sweep& Sweep::policies(const std::vector<std::string>& names) {
-  policies_.clear();
   policy_problems_.clear();
-  policies_.reserve(names.size());
-  // Probe each name once on a throwaway platform so validate() can report
-  // unknown names up front instead of aborting mid-sweep.
-  const platform::StarPlatform probe =
-      platform::StarPlatform::homogeneous(platform::HomogeneousParams{});
-  for (const std::string& name : names) {
-    try {
-      (void)config::make_policy(name, probe, 100.0, 0.0);
-    } catch (const config::ConfigError& error) {
-      policy_problems_.emplace_back("policy \"" + name + "\": " + error.what());
-    }
-    sweep::AlgorithmSpec spec;
-    spec.name = name;
-    spec.make = [name](const platform::StarPlatform& p, double w_total, double error) {
-      return config::make_policy(name, p, w_total, error);
-    };
-    policies_.push_back(std::move(spec));
-  }
+  policies_ = lineup_from_names(names, policy_problems_);
   return *this;
 }
 

@@ -59,6 +59,7 @@
 #include "check/serve_audit.hpp"
 #include "check/service_audit.hpp"
 #include "check/trace_audit.hpp"
+#include "config/policy_registry.hpp"
 #include "config/run_description.hpp"
 #include "core/adaptive_rumr.hpp"
 #include "core/rumr.hpp"
@@ -125,8 +126,7 @@ class Run {
   Run& platform(platform::StarPlatform p);
   /// Total divisible workload (units). Must be > 0 at execute() time.
   Run& workload(double units);
-  /// Scheduling algorithm name: rumr | rumr-adaptive | umr | umr-eager |
-  /// mi-<x> | factoring | wf | gss | tss | fsc.
+  /// Scheduling algorithm: a policy key (config/policy_registry.hpp).
   Run& algorithm(std::string name);
   /// Prediction-error magnitude the scheduler is told to plan for.
   Run& known_error(double e);
@@ -392,9 +392,9 @@ class Sweep {
 
   Sweep& errors(std::vector<double> axis);
   Sweep& policies(std::vector<sweep::AlgorithmSpec> specs);
-  /// Same vocabulary as Run::algorithm: rumr | rumr-adaptive | umr |
-  /// umr-eager | mi-<x> | factoring | wf | gss | tss | fsc. Unknown names
-  /// are reported by validate() (and execute()) rather than thrown here.
+  /// Policy keys (config/policy_registry.hpp), labelled with their display
+  /// names. Unknown keys are reported by validate() (and execute()) rather
+  /// than thrown here.
   Sweep& policies(const std::vector<std::string>& names);
   Sweep& workload(double units);
   Sweep& distribution(stats::ErrorDistribution d);

@@ -194,12 +194,6 @@ std::unique_ptr<sim::SchedulerPolicy> make_tss_policy(const platform::StarPlatfo
   return std::make_unique<TssPolicy>(w_total, platform.size(), options);
 }
 
-std::unique_ptr<sim::SchedulerPolicy> make_css_policy(const platform::StarPlatform& platform,
-                                                      double w_total, double chunk_size) {
-  (void)platform;
-  return std::make_unique<CssPolicy>(w_total, platform.size(), chunk_size);
-}
-
 std::unique_ptr<sim::SchedulerPolicy> make_weighted_factoring_policy(
     const platform::StarPlatform& platform, double w_total) {
   return std::make_unique<WeightedFactoringPolicy>(platform, w_total,

@@ -110,8 +110,6 @@ class WeightedFactoringPolicy : public sim::SchedulerPolicy {
     const platform::StarPlatform& platform, double w_total);
 [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_tss_policy(
     const platform::StarPlatform& platform, double w_total);
-[[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_css_policy(
-    const platform::StarPlatform& platform, double w_total, double chunk_size);
 [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_weighted_factoring_policy(
     const platform::StarPlatform& platform, double w_total);
 

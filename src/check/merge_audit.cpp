@@ -51,13 +51,6 @@ void audit_accumulator_merge(const std::string& label, const stats::Accumulator&
   }
 }
 
-void audit_counter_merge(const std::string& label, const obs::Counter& merged,
-                         const obs::Counter& serial, AuditReport& report) {
-  if (merged.value() != serial.value()) {
-    violate_count(report, label, "value", merged.value(), serial.value());
-  }
-}
-
 void audit_histogram_merge(const std::string& label, const obs::Histogram& merged,
                            const obs::Histogram& serial, AuditReport& report,
                            const MergeAuditOptions& options) {

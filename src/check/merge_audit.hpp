@@ -37,10 +37,6 @@ void audit_accumulator_merge(const std::string& label, const stats::Accumulator&
                              const stats::Accumulator& serial, AuditReport& report,
                              const MergeAuditOptions& options = {});
 
-/// Same for counters: a pure integer sum, so the comparison is exact.
-void audit_counter_merge(const std::string& label, const obs::Counter& merged,
-                         const obs::Counter& serial, AuditReport& report);
-
 /// Same for histograms: identical edges, exact bucket counts and totals,
 /// toleranced sum/min/max.
 void audit_histogram_merge(const std::string& label, const obs::Histogram& merged,

@@ -21,8 +21,7 @@
 ///   total = 1000           ; required, > 0
 ///
 ///   [schedule]
-///   algorithm = rumr       ; rumr | rumr-adaptive | umr | umr-eager |
-///                          ;   mi-<x> | factoring | wf | gss | tss | fsc
+///   algorithm = rumr       ; a policy key (config/policy_registry.hpp)
 ///   error = 0.2            ; known/assumed prediction-error magnitude
 ///
 ///   [simulation]
@@ -99,8 +98,8 @@ struct RunDescription {
 /// platform and workload. Throws ConfigError for unknown algorithm names.
 [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_policy(const RunDescription& run);
 
-/// Name-based variant: instantiates algorithm `name` (lower-case, same
-/// vocabulary as [schedule] algorithm) for an arbitrary platform/workload.
+/// Name-based variant: instantiates the policy registry row `name`
+/// (config/policy_registry.hpp) for an arbitrary platform/workload.
 /// The multi-job engine uses this to build a per-job scheduler over each
 /// job's worker share. Throws ConfigError for unknown algorithm names.
 [[nodiscard]] std::unique_ptr<sim::SchedulerPolicy> make_policy(

@@ -11,6 +11,7 @@
 
 #include "analysis/bounds.hpp"
 #include "check/check.hpp"
+#include "config/policy_registry.hpp"
 #include "config/run_description.hpp"
 #include "stats/rng.hpp"
 
@@ -42,23 +43,6 @@ const char* to_string(AdmissionPolicy admission) noexcept {
   return "?";
 }
 
-namespace {
-
-/// Algorithm-name vocabulary check mirroring config::make_policy (kept as a
-/// name test so validate() stays side-effect free and cheap).
-bool known_algorithm(const std::string& name) {
-  for (const char* known :
-       {"rumr", "rumr-adaptive", "umr", "umr-eager", "factoring", "wf", "gss", "tss", "fsc"}) {
-    if (name == known) return true;
-  }
-  if (name.rfind("mi-", 0) == 0 && name.size() > 3) {
-    return name.find_first_not_of("0123456789", 3) == std::string::npos && name != "mi-0";
-  }
-  return false;
-}
-
-}  // namespace
-
 std::vector<std::string> JobsOptions::validate(std::size_t num_workers) const {
   std::vector<std::string> problems = stream.validate();
   const auto complain = [&problems](const auto&... parts) {
@@ -67,7 +51,11 @@ std::vector<std::string> JobsOptions::validate(std::size_t num_workers) const {
     problems.push_back(out.str());
   };
 
-  if (!known_algorithm(algorithm)) complain("jobs: unknown algorithm '", algorithm, "'");
+  try {
+    (void)config::resolve_policy(algorithm);
+  } catch (const config::ConfigError& error) {
+    complain("jobs: ", error.what());
+  }
   if (!(known_error >= 0.0)) complain("jobs: known_error must be >= 0, got ", known_error);
   if (sharing == SharingPolicy::kPartitioned) {
     if (partitions == 0) complain("jobs: partitions must be >= 1");

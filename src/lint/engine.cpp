@@ -40,12 +40,6 @@ SourceFile SourceFile::from_disk(const std::string& abs_path, std::string rel_pa
   return from_string(std::move(rel_path), std::move(buf).str());
 }
 
-bool SourceFile::is_header() const {
-  const std::string_view p = rel_path;
-  return p.size() >= 4 && (p.substr(p.size() - 4) == ".hpp" ||
-                           (p.size() >= 2 && p.substr(p.size() - 2) == ".h"));
-}
-
 Engine::Engine() : rules_(make_default_rules()) {}
 
 bool Engine::is_known_rule(std::string_view name) const noexcept {

@@ -35,7 +35,6 @@ struct SourceFile {
   [[nodiscard]] static SourceFile from_string(std::string rel_path, std::string content);
   /// Throws std::runtime_error when the file cannot be read.
   [[nodiscard]] static SourceFile from_disk(const std::string& abs_path, std::string rel_path);
-  [[nodiscard]] bool is_header() const;
 };
 
 class Rule {

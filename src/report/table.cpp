@@ -18,11 +18,6 @@ TextTable::TextTable(std::vector<std::string> headers) : headers_(std::move(head
   if (!alignment_.empty()) alignment_[0] = Align::kLeft;
 }
 
-void TextTable::set_alignment(std::size_t column, Align align) {
-  assert(column < alignment_.size());
-  alignment_[column] = align;
-}
-
 void TextTable::add_row(std::vector<std::string> cells) {
   assert(cells.size() <= headers_.size() && "row has more cells than columns");
   cells.resize(headers_.size());

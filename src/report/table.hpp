@@ -18,11 +18,8 @@ enum class Align : unsigned char { kLeft, kRight };
 class TextTable {
  public:
   /// Creates a table with the given column headers (all right-aligned except
-  /// the first, matching the paper's layout; override with set_alignment).
+  /// the first, matching the paper's layout).
   explicit TextTable(std::vector<std::string> headers);
-
-  /// Overrides one column's alignment.
-  void set_alignment(std::size_t column, Align align);
 
   /// Appends a row; missing trailing cells render empty, extra cells are an
   /// error (assert).

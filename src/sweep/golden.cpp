@@ -24,13 +24,7 @@ namespace {
 
 /// The paper-figure algorithm line-up the fixtures pin down.
 std::vector<AlgorithmSpec> golden_lineup() {
-  std::vector<AlgorithmSpec> specs;
-  specs.push_back(umr_spec());
-  specs.push_back(rumr_spec());
-  specs.push_back(factoring_spec());
-  specs.push_back(mi_spec(2));
-  specs.push_back(weighted_factoring_spec());
-  return specs;
+  return algorithms({"umr", "rumr", "factoring", "mi-2", "wf"});
 }
 
 /// Full scenario definition: platform + workload + error + seed + faults.
@@ -297,12 +291,8 @@ GoldenScenario record_race_scenario(const ScenarioDef& def) {
   scenario.error = def.error;
   scenario.seed = def.seed;
 
-  std::vector<AlgorithmSpec> arms;
-  arms.push_back(rumr_spec());
-  arms.push_back(rumr_fixed_spec(50.0));
-  arms.push_back(umr_spec());
-  arms.push_back(factoring_spec());
-  arms.push_back(fsc_spec());
+  const std::vector<AlgorithmSpec> arms =
+      algorithms({"rumr", "rumr-50", "umr", "factoring", "fsc"});
 
   race::RaceOptions options;
   options.block = 16;

@@ -1,129 +1,40 @@
 #include "sweep/scheduler_factory.hpp"
 
-#include "baselines/factoring.hpp"
-#include "baselines/fsc.hpp"
-#include "baselines/loop_scheduling.hpp"
-#include "baselines/multi_installment.hpp"
-#include "core/adaptive_rumr.hpp"
-#include "core/rumr.hpp"
-#include "core/umr_policy.hpp"
+#include "config/policy_registry.hpp"
 
 namespace rumr::sweep {
 
-AlgorithmSpec rumr_spec() {
-  return {"RUMR", [](const platform::StarPlatform& p, double w, double error) {
-            core::RumrOptions options;
-            options.known_error = error;
-            return std::make_unique<core::RumrPolicy>(p, w, std::move(options));
+AlgorithmSpec algorithm(std::string_view key) {
+  const config::ResolvedPolicy policy = config::resolve_policy(key);
+  return {policy.display,
+          [make = policy.row->make, param = policy.param](const platform::StarPlatform& p,
+                                                           double w, double error) {
+            return make(p, w, error, param);
           }};
 }
 
-AlgorithmSpec rumr_inorder_spec() {
-  return {"RUMR-inorder", [](const platform::StarPlatform& p, double w, double error) {
-            core::RumrOptions options;
-            options.known_error = error;
-            options.phase1_order = core::DispatchOrder::kInOrder;
-            options.name = "RUMR-inorder";
-            return std::make_unique<core::RumrPolicy>(p, w, std::move(options));
-          }};
-}
-
-AlgorithmSpec rumr_fixed_spec(double phase1_percent) {
-  core::RumrOptions options = core::rumr_fixed_split_options(phase1_percent);
-  return {options.name, [options](const platform::StarPlatform& p, double w, double) {
-            return std::make_unique<core::RumrPolicy>(p, w, options);
-          }};
-}
-
-AlgorithmSpec rumr_adaptive_spec() {
-  return {"RUMR-adaptive", [](const platform::StarPlatform& p, double w, double) {
-            return std::make_unique<core::AdaptiveRumrPolicy>(p, w);
-          }};
-}
-
-AlgorithmSpec umr_spec() {
-  // The paper's UMR competitor executes a schedule "precalculated at the
-  // onset of the application" — sizes, order, AND send times. kTimetable is
-  // that literal execution: a send never starts before its planned time, so
-  // the master cannot opportunistically run ahead when transfers finish
-  // early (the greedy component RUMR adds in phase 1).
-  return {"UMR", [](const platform::StarPlatform& p, double w, double) {
-            return std::make_unique<core::UmrPolicy>(p, w, core::DispatchOrder::kTimetable);
-          }};
-}
-
-AlgorithmSpec mi_spec(std::size_t installments) {
-  return {"MI-" + std::to_string(installments),
-          [installments](const platform::StarPlatform& p, double w, double) {
-            return baselines::make_mi_policy(p, w, installments);
-          }};
-}
-
-AlgorithmSpec factoring_spec() {
-  return {"Factoring", [](const platform::StarPlatform& p, double w, double) {
-            return baselines::make_factoring_policy(p, w);
-          }};
-}
-
-AlgorithmSpec fsc_spec() {
-  return {"FSC", [](const platform::StarPlatform& p, double w, double error) {
-            return baselines::make_fsc_policy(p, w, error);
-          }};
-}
-
-AlgorithmSpec gss_spec() {
-  return {"GSS", [](const platform::StarPlatform& p, double w, double) {
-            return baselines::make_gss_policy(p, w);
-          }};
-}
-
-AlgorithmSpec tss_spec() {
-  return {"TSS", [](const platform::StarPlatform& p, double w, double) {
-            return baselines::make_tss_policy(p, w);
-          }};
-}
-
-AlgorithmSpec weighted_factoring_spec() {
-  return {"WF", [](const platform::StarPlatform& p, double w, double) {
-            return baselines::make_weighted_factoring_policy(p, w);
-          }};
+std::vector<AlgorithmSpec> algorithms(const std::vector<std::string>& keys) {
+  std::vector<AlgorithmSpec> specs;
+  specs.reserve(keys.size());
+  for (const std::string& key : keys) specs.push_back(algorithm(key));
+  return specs;
 }
 
 std::vector<AlgorithmSpec> paper_competitors() {
-  std::vector<AlgorithmSpec> specs;
-  specs.push_back(rumr_spec());
-  specs.push_back(umr_spec());
-  for (std::size_t x = 1; x <= 4; ++x) specs.push_back(mi_spec(x));
-  specs.push_back(factoring_spec());
-  return specs;
+  return algorithms({"rumr", "umr", "mi-1", "mi-2", "mi-3", "mi-4", "factoring"});
 }
 
 std::vector<AlgorithmSpec> extended_competitors() {
-  std::vector<AlgorithmSpec> specs = paper_competitors();
-  specs.push_back(fsc_spec());
-  return specs;
+  return algorithms({"rumr", "umr", "mi-1", "mi-2", "mi-3", "mi-4", "factoring", "fsc"});
 }
 
 std::vector<AlgorithmSpec> racing_competitors() {
-  std::vector<AlgorithmSpec> specs;
-  specs.push_back(rumr_spec());
-  for (double pct : {50.0, 60.0, 70.0, 80.0, 90.0}) specs.push_back(rumr_fixed_spec(pct));
-  specs.push_back(umr_spec());
-  specs.push_back(mi_spec(2));
-  specs.push_back(factoring_spec());
-  specs.push_back(fsc_spec());
-  return specs;
+  return algorithms({"rumr", "rumr-50", "rumr-60", "rumr-70", "rumr-80", "rumr-90", "umr",
+                     "mi-2", "factoring", "fsc"});
 }
 
 std::vector<AlgorithmSpec> loop_family_competitors() {
-  std::vector<AlgorithmSpec> specs;
-  specs.push_back(rumr_spec());
-  specs.push_back(factoring_spec());
-  specs.push_back(weighted_factoring_spec());
-  specs.push_back(gss_spec());
-  specs.push_back(tss_spec());
-  specs.push_back(fsc_spec());
-  return specs;
+  return algorithms({"rumr", "factoring", "wf", "gss", "tss", "fsc"});
 }
 
 }  // namespace rumr::sweep

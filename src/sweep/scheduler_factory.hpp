@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file scheduler_factory.hpp
-/// Named factories for every scheduling algorithm in the evaluation, so the
-/// sweep runner and the bench harnesses share one definition of each
-/// competitor.
+/// Sweep-side view of the policy registry (config/policy_registry.hpp): an
+/// AlgorithmSpec per registry key, and the evaluation line-ups as lists of
+/// keys, so the sweep runner and the bench harnesses share one definition
+/// of each competitor.
 ///
 /// The factory receives the true error level of the experiment: RUMR and FSC
 /// are given it (the paper's "error is known" setting — see section 4.2);
@@ -12,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "platform/platform.hpp"
@@ -27,29 +29,10 @@ struct AlgorithmSpec {
       make;
 };
 
-/// RUMR with the error level known (original RUMR of the paper).
-[[nodiscard]] AlgorithmSpec rumr_spec();
-/// RUMR with in-order (plain UMR) phase 1 — the Figure 7 ablation.
-[[nodiscard]] AlgorithmSpec rumr_inorder_spec();
-/// RUMR scheduling a fixed percentage of the workload in phase 1 — Figure 6.
-[[nodiscard]] AlgorithmSpec rumr_fixed_spec(double phase1_percent);
-/// RUMR with on-line error estimation (extension).
-[[nodiscard]] AlgorithmSpec rumr_adaptive_spec();
-/// Plain UMR (Yang & Casanova, IPDPS'03).
-[[nodiscard]] AlgorithmSpec umr_spec();
-/// Multi-Installment with x installments (Bharadwaj et al.).
-[[nodiscard]] AlgorithmSpec mi_spec(std::size_t installments);
-/// Factoring (Flynn Hummel).
-[[nodiscard]] AlgorithmSpec factoring_spec();
-/// Fixed-Size Chunking (Hagerup / Kruskal-Weiss).
-[[nodiscard]] AlgorithmSpec fsc_spec();
-
-/// Guided Self-Scheduling (Polychronopoulos & Kuck 1987).
-[[nodiscard]] AlgorithmSpec gss_spec();
-/// Trapezoid Self-Scheduling (Tzen & Ni 1993).
-[[nodiscard]] AlgorithmSpec tss_spec();
-/// Weighted Factoring (Flynn Hummel et al. 1996).
-[[nodiscard]] AlgorithmSpec weighted_factoring_spec();
+/// The registry row for `key` ("rumr", "mi-2", "rumr-80", ...), labelled
+/// with its display name ("RUMR", "MI-2", "RUMR-80"). The key is resolved
+/// once, here. Throws config::ConfigError for an unknown key.
+[[nodiscard]] AlgorithmSpec algorithm(std::string_view key);
 
 /// The paper's section 5.1 line-up, reference (RUMR) first:
 /// RUMR, UMR, MI-1, MI-2, MI-3, MI-4, Factoring.
@@ -66,5 +49,8 @@ struct AlgorithmSpec {
 /// ablations against the cross-family baselines —
 /// RUMR, RUMR-50..RUMR-90, UMR, MI-2, Factoring, FSC (10 arms).
 [[nodiscard]] std::vector<AlgorithmSpec> racing_competitors();
+
+/// One spec per key, in order. Throws config::ConfigError for an unknown key.
+[[nodiscard]] std::vector<AlgorithmSpec> algorithms(const std::vector<std::string>& keys);
 
 }  // namespace rumr::sweep

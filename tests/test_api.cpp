@@ -367,7 +367,7 @@ TEST(SweepFacade, MatchesTheRawEngineByteForByte) {
   std::vector<sweep::SweepCell> raw;
   sweep::run_sweep_streaming(
       sweep::wrap_grid(configs),
-      {sweep::rumr_spec(), sweep::factoring_spec()}, options,
+      {sweep::algorithm("rumr"), sweep::algorithm("factoring")}, options,
       [&](const sweep::SweepCell& cell) { raw.push_back(cell); });
   std::sort(raw.begin(), raw.end(), [](const sweep::SweepCell& a, const sweep::SweepCell& b) {
     return a.algorithm_index < b.algorithm_index;

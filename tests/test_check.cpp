@@ -250,7 +250,7 @@ TEST(TraceAudit, FiresOnMalformedSpan) {
 sim::SimResult metrics_run() {
   const platform::StarPlatform p = platform::StarPlatform::homogeneous(
       {.workers = 4, .speed = 1.0, .bandwidth = 8.0, .comp_latency = 0.1, .comm_latency = 0.05});
-  auto spec = sweep::umr_spec();
+  auto spec = sweep::algorithm("umr");
   auto policy = spec.make(p, 200.0, 0.0);
   return sim::simulate(p, *policy, sim::SimOptions::with_error(0.3, 21));
 }
@@ -306,7 +306,7 @@ TEST(TraceAudit, AuditsARealEngineRun) {
   // conserve work and respect the platform's resource constraints.
   const platform::StarPlatform p = platform::StarPlatform::homogeneous(
       {.workers = 4, .speed = 1.0, .bandwidth = 8.0, .comp_latency = 0.1, .comm_latency = 0.05});
-  auto spec = sweep::fsc_spec();
+  auto spec = sweep::algorithm("fsc");
   auto policy = spec.make(p, 200.0, 0.4);
   sim::SimOptions options = sim::SimOptions::with_error(0.4, 99);
   options.record_trace = true;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "config/config_file.hpp"
+#include "config/policy_registry.hpp"
 #include "config/run_description.hpp"
 #include "sim/master_worker.hpp"
 
@@ -196,8 +197,7 @@ TEST(RunDescription, RejectsBadDistribution) {
 }
 
 TEST(RunDescription, EveryAlgorithmNameInstantiatesAndRuns) {
-  for (const char* name : {"rumr", "rumr-adaptive", "umr", "umr-eager", "mi-1", "mi-3",
-                           "factoring", "wf", "gss", "tss", "fsc"}) {
+  for (const std::string& name : example_policy_keys()) {
     RunDescription run = run_from_config(ConfigFile::parse(kSample));
     run.algorithm = name;
     const auto policy = make_policy(run);

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <iomanip>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -15,6 +14,7 @@
 
 #include "check/des_audit.hpp"
 #include "check/trace_audit.hpp"
+#include "config/policy_registry.hpp"
 #include "des/simulator.hpp"
 #include "platform/platform.hpp"
 #include "sim/master_worker.hpp"
@@ -87,18 +87,9 @@ std::string fingerprint(const sweep::AlgorithmSpec& spec, const platform::StarPl
   return out.str();
 }
 
+/// Every row of the policy registry, families at their example parameter.
 std::vector<sweep::AlgorithmSpec> evaluation_lineup() {
-  std::vector<sweep::AlgorithmSpec> specs = sweep::extended_competitors();
-  for (auto& s : sweep::loop_family_competitors()) specs.push_back(std::move(s));
-  specs.push_back(sweep::rumr_inorder_spec());
-  specs.push_back(sweep::rumr_adaptive_spec());
-
-  std::vector<sweep::AlgorithmSpec> unique;
-  std::map<std::string, bool> seen;
-  for (auto& s : specs) {
-    if (seen.emplace(s.name, true).second) unique.push_back(std::move(s));
-  }
-  return unique;
+  return sweep::algorithms(config::example_policy_keys());
 }
 
 TEST(Determinism, EverySchedulerReplaysByteIdentically) {
@@ -119,7 +110,7 @@ TEST(Determinism, DifferentSeedsProduceDifferentRunsUnderError) {
   // error, different seeds must perturb the trace.
   const auto p = platform::StarPlatform::homogeneous({.workers = 8, .speed = 1.0,
                                                       .bandwidth = 12.0, .comp_latency = 0.05});
-  const sweep::AlgorithmSpec spec = sweep::rumr_spec();
+  const sweep::AlgorithmSpec spec = sweep::algorithm("rumr");
   EXPECT_NE(fingerprint(spec, p, 500.0, 0.3, 1), fingerprint(spec, p, 500.0, 0.3, 2));
 }
 

@@ -26,9 +26,9 @@ class AllSchedulers : public ::testing::TestWithParam<std::size_t> {
       for (AlgorithmSpec& spec : extended_competitors()) {
         cs.push_back({spec.name, std::move(spec)});
       }
-      cs.push_back({"RUMR-adaptive", rumr_adaptive_spec()});
-      cs.push_back({"RUMR-80fixed", rumr_fixed_spec(80.0)});
-      cs.push_back({"RUMR-inorder", rumr_inorder_spec()});
+      cs.push_back({"RUMR-adaptive", algorithm("rumr-adaptive")});
+      cs.push_back({"RUMR-80fixed", algorithm("rumr-80")});
+      cs.push_back({"RUMR-inorder", algorithm("rumr-inorder")});
       return cs;
     }();
     return all;

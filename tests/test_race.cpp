@@ -205,8 +205,8 @@ TEST(Race, SyntheticRaceByteIdenticalAcrossThreads) {
 
 TEST(Race, EngineRaceByteIdenticalAcrossThreads) {
   const sweep::SweepPlatform platform = sweep::SweepPlatform::from_config({6, 1.5, 0.1, 0.05});
-  const std::vector<sweep::AlgorithmSpec> arms = {sweep::rumr_spec(), sweep::umr_spec(),
-                                                  sweep::factoring_spec()};
+  const std::vector<sweep::AlgorithmSpec> arms = {sweep::algorithm("rumr"), sweep::algorithm("umr"),
+                                                  sweep::algorithm("factoring")};
   race::RaceOptions options;
   options.block = 8;
   options.max_reps = 48;
@@ -222,8 +222,8 @@ TEST(Race, EngineRaceByteIdenticalAcrossThreads) {
 
 TEST(Race, SlowdownObjectiveRescalesWithoutReordering) {
   const sweep::SweepPlatform platform = sweep::SweepPlatform::from_config({6, 1.5, 0.1, 0.05});
-  const std::vector<sweep::AlgorithmSpec> arms = {sweep::rumr_spec(), sweep::umr_spec(),
-                                                  sweep::factoring_spec()};
+  const std::vector<sweep::AlgorithmSpec> arms = {sweep::algorithm("rumr"), sweep::algorithm("umr"),
+                                                  sweep::algorithm("factoring")};
   race::RaceOptions options;
   options.block = 8;
   options.max_reps = 32;
@@ -326,8 +326,8 @@ TEST(Race, BuilderValidateReportsEveryProblem) {
 
 TEST(Race, SweepFacadeRaceMatchesRaceCell) {
   const sweep::PlatformConfig config{6, 1.5, 0.1, 0.05};
-  const std::vector<sweep::AlgorithmSpec> arms = {sweep::rumr_spec(), sweep::umr_spec(),
-                                                  sweep::factoring_spec()};
+  const std::vector<sweep::AlgorithmSpec> arms = {sweep::algorithm("rumr"), sweep::algorithm("umr"),
+                                                  sweep::algorithm("factoring")};
   rumr::Sweep sweep;
   sweep.platforms(std::vector<sweep::PlatformConfig>{config})
       .errors({0.3})

@@ -37,7 +37,7 @@ TEST(Runner, RejectsEmptyAlgorithmList) {
 
 TEST(Runner, ShapesMatchInputs) {
   const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec()};
+  const std::vector<AlgorithmSpec> algos{algorithm("rumr"), algorithm("umr")};
   const SweepResult res = run_sweep(configs, algos, tiny_options());
   EXPECT_EQ(res.configs().size(), 1u);
   EXPECT_EQ(res.errors().size(), 3u);
@@ -55,7 +55,7 @@ TEST(Runner, ShapesMatchInputs) {
 
 TEST(Runner, DeterministicAcrossThreadCounts) {
   const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec(), factoring_spec()};
+  const std::vector<AlgorithmSpec> algos{algorithm("rumr"), algorithm("umr"), algorithm("factoring")};
   SweepOptions one = tiny_options();
   one.threads = 1;
   SweepOptions many = tiny_options();
@@ -72,7 +72,7 @@ TEST(Runner, DeterministicAcrossThreadCounts) {
 
 TEST(Runner, BaseSeedChangesResultsUnderError) {
   const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{umr_spec()};
+  const std::vector<AlgorithmSpec> algos{algorithm("umr")};
   SweepOptions a = tiny_options();
   a.base_seed = 1;
   SweepOptions b = tiny_options();
@@ -86,7 +86,7 @@ TEST(Runner, BaseSeedChangesResultsUnderError) {
 
 TEST(Runner, ReferenceIsNeverItsOwnWin) {
   const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec()};
+  const std::vector<AlgorithmSpec> algos{algorithm("rumr"), algorithm("umr")};
   const SweepResult res = run_sweep(configs, algos, tiny_options());
   for (std::size_t e = 0; e < res.errors().size(); ++e) {
     EXPECT_EQ(res.cell(0, e, 0).ref_wins, 0u);
@@ -96,7 +96,7 @@ TEST(Runner, ReferenceIsNeverItsOwnWin) {
 
 TEST(Runner, NormalizedMakespanOfReferenceIsOne) {
   const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec()};
+  const std::vector<AlgorithmSpec> algos{algorithm("rumr"), algorithm("umr")};
   const SweepResult res = run_sweep(configs, algos, tiny_options());
   for (std::size_t e = 0; e < res.errors().size(); ++e) {
     EXPECT_DOUBLE_EQ(res.mean_normalized_makespan(e, 0), 1.0);
@@ -111,7 +111,7 @@ TEST(Runner, WinPercentagesAreBounded) {
   SweepOptions options;
   options.errors = {0.04, 0.24, 0.44};
   options.repetitions = 4;
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), mi_spec(2)};
+  const std::vector<AlgorithmSpec> algos{algorithm("rumr"), algorithm("mi-2")};
   const SweepResult res = run_sweep(configs, algos, options);
   for (std::size_t band = 0; band < 5; ++band) {
     const double t2 = res.win_percentage(band, 1);
@@ -128,16 +128,16 @@ TEST(Runner, WinPercentagesAreBounded) {
 
 TEST(Runner, RunOnceMatchesManualSimulation) {
   const PlatformConfig config{10, 1.5, 0.1, 0.05};
-  const double a = run_once(config, umr_spec(), 0.3, 42);
-  const double b = run_once(config, umr_spec(), 0.3, 42);
+  const double a = run_once(config, algorithm("umr"), 0.3, 42);
+  const double b = run_once(config, algorithm("umr"), 0.3, 42);
   EXPECT_DOUBLE_EQ(a, b);
-  const double c = run_once(config, umr_spec(), 0.3, 43);
+  const double c = run_once(config, algorithm("umr"), 0.3, 43);
   EXPECT_NE(a, c);
 }
 
 TEST(Runner, UniformDistributionOptionIsHonored) {
   const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{umr_spec()};
+  const std::vector<AlgorithmSpec> algos{algorithm("umr")};
   SweepOptions normal = tiny_options();
   SweepOptions uniform = tiny_options();
   uniform.distribution = stats::ErrorDistribution::kUniform;
@@ -186,7 +186,7 @@ TEST(SweepOptionsValidate, MessagesAreHumanReadable) {
 TEST(Runner, RejectsInvalidOptionsUpFront) {
   SweepOptions options = tiny_options();
   options.repetitions = 0;
-  EXPECT_THROW((void)run_sweep(make_grid(tiny_grid()), {umr_spec()}, options),
+  EXPECT_THROW((void)run_sweep(make_grid(tiny_grid()), {algorithm("umr")}, options),
                std::invalid_argument);
 }
 
@@ -194,7 +194,7 @@ TEST(Runner, RejectsInvalidOptionsUpFront) {
 
 TEST(Runner, AggregatesObservabilityMetricsPerCell) {
   const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec()};
+  const std::vector<AlgorithmSpec> algos{algorithm("rumr"), algorithm("umr")};
   const SweepResult res = run_sweep(configs, algos, tiny_options());
   for (std::size_t e = 0; e < res.errors().size(); ++e) {
     for (std::size_t a = 0; a < algos.size(); ++a) {
@@ -215,7 +215,7 @@ TEST(Runner, AggregatesObservabilityMetricsPerCell) {
 
 TEST(MetricsIo, CsvHasOneRowPerCellWithStableHeader) {
   const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{rumr_spec(), umr_spec()};
+  const std::vector<AlgorithmSpec> algos{algorithm("rumr"), algorithm("umr")};
   const SweepResult res = run_sweep(configs, algos, tiny_options());
   const std::string csv = report::sweep_metrics_csv(res);
   EXPECT_NE(csv.find("config,error,algorithm,reps,makespan_mean,makespan_stddev"),
@@ -229,7 +229,7 @@ TEST(MetricsIo, CsvHasOneRowPerCellWithStableHeader) {
 
 TEST(MetricsIo, JsonIsBalancedAndCarriesEveryCell) {
   const auto configs = make_grid(tiny_grid());
-  const std::vector<AlgorithmSpec> algos{umr_spec()};
+  const std::vector<AlgorithmSpec> algos{algorithm("umr")};
   const SweepResult res = run_sweep(configs, algos, tiny_options());
   const std::string json = report::sweep_metrics_json(res);
   EXPECT_NE(json.find("\"algorithm\""), std::string::npos);

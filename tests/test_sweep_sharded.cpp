@@ -30,7 +30,7 @@ std::vector<sweep::SweepPlatform> tiny_platforms() {
 }
 
 std::vector<sweep::AlgorithmSpec> tiny_lineup() {
-  return {sweep::rumr_spec(), sweep::umr_spec(), sweep::factoring_spec()};
+  return {sweep::algorithm("rumr"), sweep::algorithm("umr"), sweep::algorithm("factoring")};
 }
 
 sweep::SweepOptions tiny_options() {

@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
                                               : std::vector<double>{0.0, 0.3};
 
   const std::vector<sweep::AlgorithmSpec> algorithms = {
-      sweep::rumr_spec(), sweep::umr_spec(), sweep::factoring_spec()};
+      sweep::algorithm("rumr"), sweep::algorithm("umr"), sweep::algorithm("factoring")};
 
   std::vector<Scenario> scenarios;
   for (const sweep::PlatformConfig& platform : platforms) {

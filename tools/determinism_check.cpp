@@ -8,8 +8,8 @@
 //      order, with many equal timestamps, must execute in (time, insertion
 //      sequence) order — and the kernel must pass a SimulatorAuditor
 //      (monotonicity, no-schedule-in-the-past, event conservation at drain).
-//   2. Scheduler replay audit: every scheduling algorithm in the evaluation
-//      (core + baselines) runs twice on the same run description; the JSON
+//   2. Scheduler replay audit: every row of the policy registry (families at
+//      their example parameter) runs twice on the same run description; the JSON
 //      traces and result fingerprints must match byte for byte. Each run is
 //      additionally passed through the rumr::check work-conservation
 //      auditor.
@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -34,6 +33,7 @@
 #include "check/des_audit.hpp"
 #include "check/service_audit.hpp"
 #include "check/trace_audit.hpp"
+#include "config/policy_registry.hpp"
 #include "des/simulator.hpp"
 #include "jobs/job_manager.hpp"
 #include "jobs/job_stream.hpp"
@@ -107,24 +107,6 @@ void des_jitter_round(std::uint64_t seed, std::size_t count) {
 
 // --- 2. Scheduler replay audit ----------------------------------------------
 
-/// The full evaluation line-up, deduplicated by name: the paper's
-/// section 5.1 competitors, FSC, the loop self-scheduling family, and the
-/// RUMR variants used in the ablation figures.
-std::vector<rumr::sweep::AlgorithmSpec> all_schedulers() {
-  std::vector<rumr::sweep::AlgorithmSpec> specs = rumr::sweep::extended_competitors();
-  for (auto& s : rumr::sweep::loop_family_competitors()) specs.push_back(std::move(s));
-  specs.push_back(rumr::sweep::rumr_inorder_spec());
-  specs.push_back(rumr::sweep::rumr_adaptive_spec());
-  specs.push_back(rumr::sweep::rumr_fixed_spec(70.0));
-
-  std::vector<rumr::sweep::AlgorithmSpec> unique;
-  std::map<std::string, bool> seen;
-  for (auto& s : specs) {
-    if (seen.emplace(s.name, true).second) unique.push_back(std::move(s));
-  }
-  return unique;
-}
-
 /// Runs one algorithm once and reduces the run to a byte-comparable string:
 /// the Chrome-tracing JSON plus every result scalar at full precision.
 std::string run_fingerprint(const rumr::sweep::AlgorithmSpec& spec,
@@ -154,7 +136,8 @@ std::string run_fingerprint(const rumr::sweep::AlgorithmSpec& spec,
 
 void scheduler_replay_round(const rumr::platform::StarPlatform& platform, const char* label,
                             double w_total, double error, std::uint64_t seed) {
-  for (const rumr::sweep::AlgorithmSpec& spec : all_schedulers()) {
+  for (const rumr::sweep::AlgorithmSpec& spec :
+       rumr::sweep::algorithms(rumr::config::example_policy_keys())) {
     std::string audit_detail;
     const std::string first = run_fingerprint(spec, platform, w_total, error, seed, &audit_detail);
     const std::string second = run_fingerprint(spec, platform, w_total, error, seed, nullptr);

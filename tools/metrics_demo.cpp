@@ -9,8 +9,8 @@
 /// identities: uplink busy + idle tiles the makespan, per-worker
 /// {compute, aborted, idle, down} spans partition the run, the DES kernel
 /// conserved events). Exit code is nonzero when any scenario fails its
-/// audit, so ci.sh uses this as an end-to-end gate for the metrics
-/// subsystem under both the release and sanitizer presets.
+/// audit, so the `metrics_demo` ctest case (label `regression`) uses this
+/// as an end-to-end gate for the metrics subsystem under every preset.
 
 #include <cstdio>
 #include <exception>

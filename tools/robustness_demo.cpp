@@ -46,7 +46,7 @@ int main() {
       {0.0, "no faults"}, {1600.0, "1600"}, {800.0, "800"}, {400.0, "400"}, {200.0, "200"},
   };
   const std::vector<sweep::AlgorithmSpec> algorithms = {
-      sweep::rumr_spec(), sweep::umr_spec(), sweep::factoring_spec()};
+      sweep::algorithm("rumr"), sweep::algorithm("umr"), sweep::algorithm("factoring")};
 
   report::TextTable table([&] {
     std::vector<std::string> headers = {"MTBF (s)"};
