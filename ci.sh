@@ -7,7 +7,7 @@
 #
 # Stages (each uses the matching CMakePresets.json preset, building into
 # build/<preset>; every preset sets RUMR_WARNINGS_AS_ERRORS=ON):
-#   release     Release build + full ctest suite + determinism harness
+#   release     Release build + full ctest suite
 #   asan-ubsan  Debug + ASan/UBSan + expensive-tier RUMR_CHECKs + ctest
 #   tsan        RelWithDebInfo + TSan + expensive-tier RUMR_CHECKs + ctest
 #   tidy        clang-tidy over src/ with the repo .clang-tidy, zero-warning
@@ -43,10 +43,12 @@
 #
 # The release, asan-ubsan, and tsan stages each finish with an explicit
 # `ctest -L regression` pass: the golden-trace replays, the DES
-# property/fuzz suite, the determinism lint, and the self-auditing demos
-# (metrics_demo, jobs_demo, sweep_demo, race_demo; tests/CMakeLists.txt) are
-# the lockdown for kernel/engine rework, so they run visibly in every
-# sanitizer configuration, not just inside the full suite.
+# property/fuzz suite, the determinism lint, the self-auditing demos and
+# harnesses (metrics_demo, jobs_demo, sweep_demo, race_demo,
+# determinism_check, robustness_demo, and the rumr_cli --algorithm case
+# fold; tests/CMakeLists.txt) are the lockdown for kernel/engine rework, so
+# they run visibly in every sanitizer configuration, not just inside the
+# full suite.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -82,25 +84,12 @@ build_and_test() {
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    release)
-      build_and_test release
-      banner "determinism harness [release]"
-      ./build/release/tools/determinism_check
-      banner "robustness demo [release]"
-      ./build/release/tools/robustness_demo
-      ;;
-    asan-ubsan)
-      build_and_test asan-ubsan
-      banner "determinism harness [asan-ubsan]"
-      ./build/asan-ubsan/tools/determinism_check
-      banner "robustness demo [asan-ubsan]"
-      ./build/asan-ubsan/tools/robustness_demo
+    release|asan-ubsan)
+      build_and_test "$stage"
       ;;
     tsan)
       # Suppress nothing: the suite must be race-free as-is.
       TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" build_and_test tsan
-      banner "robustness demo [tsan]"
-      TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" ./build/tsan/tools/robustness_demo
       ;;
     tidy)
       if ! command -v clang-tidy > /dev/null 2>&1; then

@@ -40,15 +40,10 @@ int main() {
   const std::vector<sweep::AlgorithmSpec> algorithms = sweep::paper_competitors();
   const std::size_t reps = 25;
 
-  const std::vector<sweep::SweepCell> cells = Sweep()
-                                                  .platform(cluster, "render-farm-16")
-                                                  .errors(error_levels)
-                                                  .policies(algorithms)
-                                                  .workload(blocks)
-                                                  .reps(reps)
-                                                  .seed(0xf00d)
-                                                  .threads(0)
-                                                  .execute();
+  Sweep study(sweep::SweepOptions{
+      .errors = error_levels, .repetitions = reps, .w_total = blocks, .base_seed = 0xf00d});
+  study.platform(cluster, "render-farm-16").policies() = algorithms;
+  const std::vector<sweep::SweepCell> cells = study.execute();
 
   // cells arrive sorted by (platform, error, algorithm); with one platform,
   // cell index = error * |algorithms| + algorithm.

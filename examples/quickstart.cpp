@@ -47,12 +47,15 @@ int main() {
   // as the uplink frees); every execute() is audited against the engine's
   // invariants before it returns.
   {
-    const RunResult result = Run()
-                                 .platform(cluster)
-                                 .workload(workload)
-                                 .algorithm("umr-eager")
-                                 .record_trace()
-                                 .execute();
+    // A Run holds a config::RunDescription — the same struct a run file
+    // parses into — and is described by assigning its fields.
+    Run run;
+    config::RunDescription& description = run.description();
+    description.platform = cluster;
+    description.w_total = workload;
+    description.algorithm = "umr-eager";
+    description.sim_options.record_trace = true;
+    const RunResult result = run.execute();
     const obs::RunMetrics& m = result.metrics;
     std::printf("UMR with perfect predictions: makespan %.2f s, %zu chunks, "
                 "mean worker utilization %.1f%%\n",
@@ -84,30 +87,26 @@ int main() {
   std::printf("\nwith 30%% prediction error (40 repetitions each):\n");
   const std::size_t reps = 40;
   const double error = 0.3;
-  stats::Accumulator umr_makespans;
-  stats::Accumulator rumr_makespans;
-  for (const RunResult& r : Run()
-                                .platform(cluster)
-                                .workload(workload)
-                                .algorithm("umr-eager")
-                                .error(error)
-                                .repetitions(reps)
-                                .execute_all()) {
-    umr_makespans.add(r.makespan);
-  }
-  for (const RunResult& r : Run()
-                                .platform(cluster)
-                                .workload(workload)
-                                .algorithm("rumr")
-                                .known_error(error)
-                                .error(error)
-                                .repetitions(reps)
-                                .execute_all()) {
-    rumr_makespans.add(r.makespan);
-  }
-  std::printf("  UMR : %.2f s mean makespan\n", umr_makespans.mean());
-  std::printf("  RUMR: %.2f s mean makespan  (%.1f%% better)\n", rumr_makespans.mean(),
-              100.0 * (umr_makespans.mean() - rumr_makespans.mean()) / umr_makespans.mean());
+  // Mean makespan of `reps` repetitions with per-repetition seeds; the
+  // scheduler is told `known_error`, the run suffers `error`.
+  const auto mean_makespan = [&](const char* algorithm, double known_error) {
+    Run run;
+    config::RunDescription& description = run.description();
+    description.platform = cluster;
+    description.w_total = workload;
+    description.algorithm = algorithm;
+    description.known_error = known_error;
+    description.sim_options = sim::SimOptions::with_error(error);
+    description.repetitions = reps;
+    stats::Accumulator makespans;
+    for (const RunResult& r : run.execute_all()) makespans.add(r.makespan);
+    return makespans.mean();
+  };
+  const double umr_mean = mean_makespan("umr-eager", 0.0);
+  const double rumr_mean = mean_makespan("rumr", error);
+  std::printf("  UMR : %.2f s mean makespan\n", umr_mean);
+  std::printf("  RUMR: %.2f s mean makespan  (%.1f%% better)\n", rumr_mean,
+              100.0 * (umr_mean - rumr_mean) / umr_mean);
 
   core::RumrOptions options;
   options.known_error = error;

@@ -46,9 +46,10 @@ int main(int argc, char** argv) {
 
   try {
     Run run = Run::from_file(path);
-    if (algorithm_override != nullptr) run.algorithm(algorithm_override);
-    run.record_trace(gantt);
-    const config::RunDescription& desc = run.description();
+    config::RunDescription& desc = run.description();
+    // Case-folded like the file's [schedule] algorithm.
+    if (algorithm_override != nullptr) desc.algorithm = config::lower_ascii(algorithm_override);
+    desc.sim_options.record_trace = gantt;
 
     std::printf("platform  : %s\n", desc.platform.describe().c_str());
     std::printf("workload  : %.0f units\n", desc.w_total);

@@ -6,37 +6,39 @@
 /// `#include "api/rumr.hpp"` is the supported way to consume the library:
 /// it re-exports every public subsystem header (platform description, the
 /// UMR/RUMR solvers, the simulation engine's result types, observability,
-/// sweeps, reporting, invariant audits) and adds the `rumr::Run` builder —
-/// a declarative front end that turns a run description into an executed,
-/// audited result without touching engine internals.
+/// sweeps, races, the what-if server, reporting, invariant audits) and adds
+/// five builders — Run, JobsRun, Race, Sweep and Serve — that turn a
+/// description into an executed, audited result without touching engine
+/// internals.
 ///
-///   rumr::RunResult r = rumr::Run()
-///                           .platform(cluster)
-///                           .workload(1000.0)
-///                           .algorithm("rumr")
-///                           .known_error(0.3)
-///                           .error(0.3)
-///                           .execute();
+/// Each builder holds its engine's options struct and hands it out by
+/// reference; a run is described by assigning fields:
+///
+///   rumr::Run run;
+///   rumr::config::RunDescription& d = run.description();
+///   d.platform = cluster;
+///   d.w_total = 1000.0;
+///   d.algorithm = "rumr";
+///   d.known_error = 0.3;
+///   d.sim_options = rumr::sim::SimOptions::with_error(0.3, /*seed=*/42);
+///   const rumr::RunResult r = run.execute();
 ///   std::printf("makespan %.2f, uplink %.0f%% busy\n", r.makespan,
 ///               100.0 * r.metrics.engine.uplink_utilization);
 ///
-/// Every execute() self-audits: the run's invariants (work conservation,
-/// resource serialization, the observability identities) are verified by
+/// The builders' own members only compute something: load a file, resolve
+/// policy names, derive a rate or a grid, validate, execute. Every
+/// execution self-audits: a run's invariants (work conservation, resource
+/// serialization, the observability identities) are verified by
 /// check::audit_sim_result before the result is returned, and a violation
-/// raises check::CheckError. Disable with .audit(false) if you are
-/// deliberately constructing degenerate runs.
+/// raises check::CheckError.
 ///
-/// Grid studies go through the `rumr::Sweep` builder — the single public
-/// entry point onto the sharded streaming sweep engine:
+/// Grid studies go through rumr::Sweep — the single public entry point onto
+/// the sharded streaming sweep engine:
 ///
-///   auto cells = rumr::Sweep()
-///                    .platforms(sweep::make_grid(sweep::GridSpec::decimated()))
-///                    .errors(sweep::error_axis())
-///                    .policies({"rumr", "umr", "factoring"})
-///                    .reps(50)
-///                    .threads(0)
-///                    .on_cell([](const sweep::SweepCell& c) { /* stream */ })
-///                    .execute();
+///   rumr::Sweep sweep(rumr::sweep::SweepOptions{.repetitions = 50});
+///   sweep.grid(rumr::sweep::GridSpec::decimated())
+///       .policies(std::vector<std::string>{"rumr", "umr", "factoring"});
+///   const std::vector<rumr::sweep::SweepCell> cells = sweep.execute();
 ///
 /// sweep::run_sweep remains as a thin buffering compatibility wrapper over
 /// the same engine.
@@ -45,6 +47,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -108,54 +111,23 @@ struct RunResult {
 /// Builder for a single described run (or a small repetition batch of one).
 ///
 /// A `Run` is a thin, copyable wrapper over config::RunDescription — the same
-/// structure the configuration-file front end produces — so a run can come
-/// from fluent code (`Run().platform(...)...`) or a file
+/// structure the configuration-file front end produces — so a run can be
+/// described in code (`run.description().w_total = ...`) or come from a file
 /// (`Run::from_file("cluster.rumr")`) and execute identically.
 class Run {
  public:
   /// Starts from the library defaults: the paper's Table-1 homogeneous
-  /// 10-worker platform, algorithm "rumr", no prediction error, 1 repetition.
+  /// 10-worker platform, algorithm "rumr", no prediction error, 1
+  /// repetition. The workload (description().w_total) must be set > 0.
   Run();
 
   /// Loads a run-description file (see config/run_description.hpp for the
   /// schema). Throws config::ConfigError on parse or validation problems.
   [[nodiscard]] static Run from_file(const std::string& path);
 
-  // Fluent setters --------------------------------------------------------
-
-  Run& platform(platform::StarPlatform p);
-  /// Total divisible workload (units). Must be > 0 at execute() time.
-  Run& workload(double units);
-  /// Scheduling algorithm: a policy key (config/policy_registry.hpp).
-  Run& algorithm(std::string name);
-  /// Prediction-error magnitude the scheduler is told to plan for.
-  Run& known_error(double e);
-  /// Actual prediction-error level driving the run (truncated-normal model
-  /// on both communication and computation, the paper's setting).
-  Run& error(double e);
-  Run& seed(std::uint64_t s);
-  Run& repetitions(std::size_t n);
-  /// Worker-availability fault injection (crash/recover, fail-stop, scripts).
-  Run& faults(faults::FaultSpec spec);
-  /// Link-fault injection: message loss, latency spikes, degradation windows.
-  Run& link_faults(faults::LinkFaultSpec spec);
-  /// Enables the ACK/timeout/retransmit protocol (optionally with custom
-  /// RFC6298 knobs via the options overload).
-  Run& retransmit(bool on = true);
-  Run& retransmit(sim::SimOptions::RetransmitOptions options);
-  /// Partial-work checkpointing period in simulated seconds (0 disables).
-  Run& checkpoint_interval(double seconds);
-  /// Record a Gantt trace (on the last repetition when running a batch).
-  Run& record_trace(bool on = true);
-  /// Replaces the full engine option block (error processes, output model,
-  /// buffer capacity, fault injection, ...) for anything the narrow setters
-  /// do not cover.
-  Run& sim_options(sim::SimOptions options);
-  /// Self-audit every executed repetition with check::audit_sim_result
-  /// (default on; violations raise check::CheckError).
-  Run& audit(bool on = true);
-
-  /// The underlying description, for inspection or direct mutation.
+  /// The description: platform, workload, algorithm (a policy key,
+  /// config/policy_registry.hpp), known error, repetitions, and the engine
+  /// options (actual error, seed, faults, record_trace, ...).
   [[nodiscard]] const config::RunDescription& description() const noexcept { return desc_; }
   [[nodiscard]] config::RunDescription& description() noexcept { return desc_; }
 
@@ -164,8 +136,6 @@ class Run {
   /// engine options. Configure arrivals and sharing on the returned builder.
   [[nodiscard]] class JobsRun jobs() const;
 
-  // Execution --------------------------------------------------------------
-
   /// Executes one repetition (the description's seed) and returns it.
   /// Throws sim::SimError on invalid options or policy misbehavior and
   /// check::CheckError on an audit violation.
@@ -173,32 +143,27 @@ class Run {
 
   /// Executes all repetitions with per-repetition derived seeds (seed, rep)
   /// — the same derivation the CLI and sweep front ends use — tracing only
-  /// the last repetition when record_trace is on.
+  /// the last repetition when sim_options.record_trace is on.
   [[nodiscard]] std::vector<RunResult> execute_all() const;
 
  private:
   [[nodiscard]] RunResult execute_one(std::uint64_t rep_seed, bool trace) const;
 
   config::RunDescription desc_;
-  bool record_trace_ = false;
-  bool audit_ = true;
 };
 
 /// Builder for a multi-job open-system run (jobs::run_jobs under the hood).
 ///
-///   rumr::jobs::ServiceResult r = rumr::Run()
-///                                     .platform(cluster)
-///                                     .algorithm("rumr")
-///                                     .jobs()
-///                                     .poisson_load(0.7, 100, 300.0)
-///                                     .sharing(rumr::jobs::SharingPolicy::kFractional)
-///                                     .execute();
+///   rumr::Run run;
+///   run.description().platform = cluster;
+///   rumr::JobsRun jobs = run.jobs();
+///   jobs.options().sharing = rumr::jobs::SharingPolicy::kFractional;
+///   const rumr::jobs::ServiceResult r = jobs.poisson_load(0.7, 100, 300.0).execute();
 ///   std::printf("mean slowdown %.2f\n", r.mean_slowdown());
 ///
 /// Like Run, every execute() self-audits — check::audit_service_result
 /// verifies the counter ledger, per-job work conservation, share
 /// disjointness, and Little's law; a violation raises check::CheckError.
-/// Disable with .audit(false).
 class JobsRun {
  public:
   /// Starts from the library defaults: the paper's Table-1 homogeneous
@@ -210,42 +175,19 @@ class JobsRun {
   /// schema). Throws config::ConfigError on parse or validation problems.
   [[nodiscard]] static JobsRun from_file(const std::string& path);
 
-  // Fluent setters ---------------------------------------------------------
-
-  JobsRun& platform(platform::StarPlatform p);
-  /// Replaces the arrival process wholesale.
-  JobsRun& stream(jobs::JobStreamSpec spec);
-  /// Poisson arrivals at an explicit rate (jobs/s).
-  JobsRun& poisson(double arrival_rate, std::size_t num_jobs, double mean_size);
   /// Poisson arrivals offering `load` (fraction of the platform's aggregate
-  /// compute capacity, e.g. 0.7). The rate is derived from the platform at
-  /// execute() time, so it tracks later platform() calls.
+  /// compute capacity, e.g. 0.7). The rate is derived from platform() at
+  /// execute() time, so it tracks later platform changes, and it overrides
+  /// any options().stream.arrival_rate set afterwards.
   JobsRun& poisson_load(double load, std::size_t num_jobs, double mean_size);
-  JobsRun& sharing(jobs::SharingPolicy policy);
-  JobsRun& partitions(std::size_t count);
-  JobsRun& max_degree(std::size_t cap);
-  JobsRun& discipline(jobs::QueueDiscipline discipline);
-  JobsRun& admission(jobs::AdmissionPolicy policy);
-  JobsRun& queue_capacity(std::size_t capacity);
-  /// Per-job scheduler run on each worker share (same vocabulary as
-  /// Run::algorithm).
-  JobsRun& algorithm(std::string name);
-  JobsRun& known_error(double e);
-  /// Actual prediction-error level inside every service oracle run.
-  JobsRun& error(double e);
-  JobsRun& seed(std::uint64_t s);
-  JobsRun& record_trace(bool on = true);
-  /// Replaces the inner-engine option block (fault injection, buffering,
-  /// output model, ...).
-  JobsRun& sim_options(sim::SimOptions options);
-  /// Self-audit with check::audit_service_result (default on).
-  JobsRun& audit(bool on = true);
 
-  /// The underlying options, for inspection or direct mutation.
+  [[nodiscard]] const platform::StarPlatform& platform() const noexcept { return platform_; }
+  [[nodiscard]] platform::StarPlatform& platform() noexcept { return platform_; }
+
+  /// The engine options: arrivals, sharing, queueing, the per-job scheduler
+  /// (same vocabulary as Run's algorithm), and the inner-engine options.
   [[nodiscard]] const jobs::JobsOptions& options() const noexcept { return options_; }
   [[nodiscard]] jobs::JobsOptions& options() noexcept { return options_; }
-
-  // Execution --------------------------------------------------------------
 
   /// Runs the open system to drain. Throws std::invalid_argument on
   /// non-validating options, sim::SimError from inner engine runs, and
@@ -253,68 +195,53 @@ class JobsRun {
   [[nodiscard]] jobs::ServiceResult execute() const;
 
  private:
-  friend class Run;
-
   platform::StarPlatform platform_;
   jobs::JobsOptions options_{};
   double pending_load_ = 0.0;  ///< poisson_load() fraction; 0 = explicit rate.
-  bool audit_ = true;
 };
 
 /// Builder for a single best-arm race (race/race.hpp): which policy wins on
-/// *this* platform under *this* error regime, certified at level delta.
+/// *this* platform under *this* error regime, certified at level
+/// options().delta.
 ///
-///   rumr::race::RaceResult r = rumr::Race()
-///                                  .platform(cluster, "render-farm")
-///                                  .error(0.3)
-///                                  .delta(0.05)
-///                                  .execute();
+///   rumr::Race race;
+///   race.platform() = {"render-farm", cluster};
+///   race.error() = 0.3;
+///   const rumr::race::RaceResult r = race.execute();
 ///   std::printf("winner %s after %zu sims (%.1fx fewer than fixed-rep)\n",
 ///               r.arms[r.winner].name.c_str(), r.total_samples,
 ///               r.sims_saved_ratio());
 ///
-/// validate()/execute() parity with the other builders: validate() returns
-/// every problem at once, execute() throws std::invalid_argument carrying
-/// them. Every execute() self-audits — each simulation through
+/// validate() returns every problem at once; execute() throws
+/// std::invalid_argument carrying them. Every execute() self-audits unless
+/// options().audit_runs/audit_result are cleared — each simulation through
 /// check::audit_sim_result and the finished race through
-/// check::audit_race_result (disable with .audit(false)). Results are
-/// byte-identical for every threads= setting.
+/// check::audit_race_result. Results are byte-identical for every
+/// options().threads setting.
 class Race {
  public:
   /// Starts from the paper's Table-1 homogeneous 10-worker platform, the
-  /// racing_competitors() line-up, error 0.3, delta 0.05, blocks of 8
-  /// repetitions, and a 256-repetition per-arm budget.
+  /// racing_competitors() line-up, error 0.3, and race::RaceOptions'
+  /// defaults (delta 0.05, blocks of 8, a 256-repetition per-arm budget).
   Race();
 
-  // Fluent setters ---------------------------------------------------------
-
-  /// The platform to race on. The label is the platform's seed identity
-  /// (sweep::derive_rep_seed hashes it) — keep it stable.
-  Race& platform(platform::StarPlatform p, std::string label);
-  /// Table 1-style configuration (label = config.label()).
-  Race& platform(const sweep::PlatformConfig& config);
-  /// Actual prediction-error level driving every repetition.
-  Race& error(double e);
-  Race& policies(std::vector<sweep::AlgorithmSpec> specs);
-  /// Same vocabulary as Run::algorithm; unknown names are reported by
-  /// validate() rather than thrown here.
+  /// Policy keys (config/policy_registry.hpp), labelled with their display
+  /// names. Unknown keys are reported by validate() rather than thrown here.
   Race& policies(const std::vector<std::string>& names);
-  Race& workload(double units);
-  /// Certification level: P(certified winner is not the best arm) <= delta.
-  Race& delta(double d);
-  /// Repetitions added per active arm per round (>= 2).
-  Race& block(std::size_t reps_per_round);
-  /// Per-arm repetition budget; exhaustion flags the result instead of
-  /// certifying.
-  Race& budget(std::size_t max_reps);
-  Race& threads(std::size_t n);  ///< 0 = hardware concurrency.
-  Race& seed(std::uint64_t s);
-  Race& objective(race::Objective o);
-  Race& distribution(stats::ErrorDistribution d);
-  /// Self-audit every simulation and the finished race (default on).
-  Race& audit(bool on = true);
 
-  // Validation and execution -----------------------------------------------
+  /// The platform to race on. Its label is the platform's seed identity
+  /// (sweep::derive_rep_seed hashes it) — keep it stable.
+  [[nodiscard]] const sweep::SweepPlatform& platform() const noexcept { return platform_; }
+  [[nodiscard]] sweep::SweepPlatform& platform() noexcept { return platform_; }
+  [[nodiscard]] const std::vector<sweep::AlgorithmSpec>& policies() const noexcept {
+    return policies_;
+  }
+  [[nodiscard]] std::vector<sweep::AlgorithmSpec>& policies() noexcept { return policies_; }
+  /// Actual prediction-error level driving every repetition.
+  [[nodiscard]] double error() const noexcept { return error_; }
+  [[nodiscard]] double& error() noexcept { return error_; }
+  [[nodiscard]] const race::RaceOptions& options() const noexcept { return options_; }
+  [[nodiscard]] race::RaceOptions& options() noexcept { return options_; }
 
   /// Every problem with the current description; empty = executable.
   [[nodiscard]] std::vector<std::string> validate() const;
@@ -324,179 +251,97 @@ class Race {
   [[nodiscard]] race::RaceResult execute() const;
 
  private:
-  [[nodiscard]] race::RaceOptions race_options() const;
-
   sweep::SweepPlatform platform_;
   std::vector<sweep::AlgorithmSpec> policies_;
-  std::vector<std::string> policy_problems_;  ///< Unknown names, reported by validate().
   double error_ = 0.3;
-  double workload_ = 1000.0;
-  double delta_ = 0.05;
-  std::size_t block_ = 8;
-  std::size_t budget_ = 256;
-  std::size_t threads_ = 0;
-  std::uint64_t seed_ = 0x5eed5eed5eedULL;
-  race::Objective objective_ = race::Objective::kMakespan;
-  stats::ErrorDistribution distribution_ = stats::ErrorDistribution::kTruncatedNormal;
-  bool audit_ = true;
+  race::RaceOptions options_{};
+};
+
+/// A Sweep's race mode: every (platform, error) cell of the axis runs a
+/// best-arm race over the line-up instead of a fixed repetition count.
+struct RaceSweepOptions {
+  std::vector<double> errors = sweep::error_axis();
+  race::RaceOptions race{};
 };
 
 /// Builder for a full parameter sweep — the single public entry point onto
 /// the sharded streaming sweep engine (sweep/runner.hpp).
 ///
-/// Three modes share one builder:
+/// The options struct it holds is its mode:
 ///
-///   - **closed-system** (the default): platforms x error axis x policies,
-///     every repetition a whole-workload race of the line-up. execute()
-///     returns the buffered cells in deterministic (platform, error,
-///     algorithm) order.
-///   - **open-system**: entered by jobs(base) or loads(axis); platforms x
-///     offered-load axis over a jobs::JobsOptions template. execute_jobs()
-///     returns the buffered cells in (platform, load) order.
-///   - **race**: entered by race(delta); every (platform, error) cell runs a
-///     best-arm race over the line-up instead of a fixed repetition count —
-///     reps() becomes the per-arm budget and rep_block() the per-round block
-///     size. execute_race() returns the raced cells in (platform, error)
-///     order.
+///   - sweep::SweepOptions (the default) — **closed-system**: platforms x
+///     error axis x policies, every repetition a whole-workload race of the
+///     line-up; run with execute().
+///   - sweep::JobsSweepOptions — **open-system**: platforms x offered-load
+///     axis over a jobs::JobsOptions template; run with execute_jobs().
+///   - RaceSweepOptions — **race**: every (platform, error) cell runs a
+///     best-arm race (race/race.hpp) over the line-up; run with
+///     execute_race().
 ///
-/// Cells stream through on_cell() the moment their site's last shard lands
-/// (serialized, order across sites unspecified); pair on_cell() with
-/// buffer(false) to keep memory O(1) in the grid size. Results are
-/// byte-identical for every threads= setting — the shard structure, per-rep
-/// seeds (sweep::derive_rep_seed), and merge order never depend on the
-/// thread count.
+/// Each mode's defaults (40 / 3 / 256 repetitions, ...) are its struct's.
+/// Given a consumer, execute*() streams every cell to it the moment its
+/// site's last shard lands (serialized, order across sites unspecified)
+/// and buffers nothing, so memory stays O(1) in the grid size; without
+/// one, the cells are buffered and returned in index order. Results are
+/// byte-identical for every thread count — the shard structure, per-rep
+/// seeds (sweep::derive_rep_seed), and merge order never depend on it.
 ///
 /// validate() returns the full list of problems (empty = executable);
-/// execute()/execute_jobs() call it and raise std::invalid_argument carrying
-/// every problem at once.
+/// execute*() call it and raise std::invalid_argument carrying every
+/// problem at once.
 class Sweep {
  public:
+  using Options = std::variant<sweep::SweepOptions, sweep::JobsSweepOptions, RaceSweepOptions>;
+
   /// Starts empty of platforms (choose the scale explicitly — a sweep is an
-  /// expensive operation) with the paper defaults everywhere else: the
-  /// section 5.1 competitor line-up, the 0..0.5 error axis, 40 repetitions,
-  /// workload 1000, truncated-normal errors, auditing on.
-  Sweep();
+  /// expensive operation) with the section 5.1 competitor line-up and
+  /// `options` (default: a closed-system sweep with the paper defaults).
+  explicit Sweep(Options options = sweep::SweepOptions{});
 
-  // Platform axis ----------------------------------------------------------
-
-  /// Table 1-style lattice: every configuration of the spec.
+  /// Replaces the platform axis with a Table 1-style lattice.
   Sweep& grid(const sweep::GridSpec& spec);
-  Sweep& platforms(std::vector<sweep::PlatformConfig> configs);
-  /// Arbitrary labelled platforms (heterogeneous clusters, custom farms).
-  /// The label is the platform's seed identity — keep it stable.
-  Sweep& platforms(std::vector<sweep::SweepPlatform> list);
-  /// Appends one custom platform to the axis.
+  /// Appends one custom platform to the axis. The label is the platform's
+  /// seed identity — keep it stable.
   Sweep& platform(platform::StarPlatform p, std::string label);
-
-  // Closed-system axis and line-up -----------------------------------------
-
-  Sweep& errors(std::vector<double> axis);
-  Sweep& policies(std::vector<sweep::AlgorithmSpec> specs);
   /// Policy keys (config/policy_registry.hpp), labelled with their display
-  /// names. Unknown keys are reported by validate() (and execute()) rather
+  /// names. Unknown keys are reported by validate() (and execute*()) rather
   /// than thrown here.
   Sweep& policies(const std::vector<std::string>& names);
-  Sweep& workload(double units);
-  Sweep& distribution(stats::ErrorDistribution d);
-  /// Worker-availability fault injection applied to every repetition.
-  Sweep& faults(faults::FaultSpec spec);
-  Sweep& fault_tolerance(sim::SimOptions::FaultToleranceOptions tolerance);
 
-  // Open-system mode -------------------------------------------------------
-
-  /// Switches to open-system mode: each cell runs the multi-job engine over
-  /// `base` with the arrival rate re-derived for the cell's (platform, load)
-  /// and the seed re-derived per repetition. Set base.retain_jobs = false
-  /// for large grids so every run streams its jobs in O(1) memory.
-  Sweep& jobs(jobs::JobsOptions base);
-  /// Offered-load axis (fractions of aggregate compute capacity). Implies
-  /// open-system mode.
-  Sweep& loads(std::vector<double> axis);
-
-  // Race mode --------------------------------------------------------------
-
-  /// Switches to race mode: each (platform, error) cell runs a best-arm race
-  /// (race/race.hpp) over the policy line-up at certification level `delta`
-  /// instead of a fixed repetition count. reps() becomes the per-arm budget
-  /// (default 256) and rep_block() the per-round block size (default 8,
-  /// minimum 2). Conflicts with jobs()/loads().
-  Sweep& race(double delta = 0.05);
-  /// Race-mode objective (makespan by default).
-  Sweep& objective(race::Objective o);
-  /// Race-mode cell sink.
-  Sweep& on_cell(race::RaceConsumer consumer);
-
-  // Execution knobs --------------------------------------------------------
-
-  /// Repetitions per cell (default: 40 closed-system, 3 open-system, 256
-  /// per-arm budget in race mode).
-  Sweep& reps(std::size_t n);
-  Sweep& threads(std::size_t n);  ///< 0 = hardware concurrency.
-  Sweep& seed(std::uint64_t s);
-  /// Repetitions per shard (0 = auto: up to 8 shards per site).
-  Sweep& rep_block(std::size_t n);
-  /// Self-audit every repetition (default on; violations raise
-  /// check::CheckError and abort the sweep).
-  Sweep& audit(bool on = true);
-  /// Closed-system cell sink — called under the engine's emission mutex.
-  Sweep& on_cell(sweep::CellConsumer consumer);
-  /// Open-system cell sink.
-  Sweep& on_cell(sweep::JobsCellConsumer consumer);
-  /// Buffer cells into execute()'s return value (default on). Disable for
-  /// huge grids — on_cell() then becomes the only output channel.
-  Sweep& buffer(bool on);
-
-  // Validation and execution -----------------------------------------------
+  [[nodiscard]] const std::vector<sweep::SweepPlatform>& platforms() const noexcept {
+    return platforms_;
+  }
+  [[nodiscard]] std::vector<sweep::SweepPlatform>& platforms() noexcept { return platforms_; }
+  /// The line-up (closed-system and race modes; open-system ignores it).
+  [[nodiscard]] const std::vector<sweep::AlgorithmSpec>& policies() const noexcept {
+    return policies_;
+  }
+  [[nodiscard]] std::vector<sweep::AlgorithmSpec>& policies() noexcept { return policies_; }
+  [[nodiscard]] const Options& options() const noexcept { return options_; }
+  [[nodiscard]] Options& options() noexcept { return options_; }
 
   /// Every problem with the current description, human-readable, in one
-  /// pass: empty axes, missing policies, unknown policy names, engine-level
-  /// option problems (SweepOptions/JobsOptions parity), and the cross-field
-  /// conflicts (buffer(false) without on_cell, a consumer for the wrong
-  /// mode, rep_block exceeding reps, threads exceeding the shard count).
+  /// pass: an empty platform axis, an empty or unresolved line-up, the
+  /// mode's own option problems, rep_block exceeding repetitions, and
+  /// threads exceeding the shard count.
   [[nodiscard]] std::vector<std::string> validate() const;
 
-  /// Runs a closed-system sweep. Returns the buffered cells sorted by
-  /// (platform, error, algorithm) index — empty with buffer(false). Throws
-  /// std::invalid_argument listing every validate() problem.
-  [[nodiscard]] std::vector<sweep::SweepCell> execute() const;
+  /// Runs a closed-system sweep. Throws std::invalid_argument in another
+  /// mode or listing every validate() problem. The returned cells are empty
+  /// when a consumer is given (not [[nodiscard]] for that reason).
+  std::vector<sweep::SweepCell> execute(const sweep::CellConsumer& consumer = {}) const;
 
-  /// Runs an open-system sweep. Returns the buffered cells sorted by
-  /// (platform, load) index — empty with buffer(false).
-  [[nodiscard]] std::vector<sweep::JobsSweepCell> execute_jobs() const;
+  /// Runs an open-system sweep (cells indexed by (platform, load)).
+  std::vector<sweep::JobsSweepCell> execute_jobs(
+      const sweep::JobsCellConsumer& consumer = {}) const;
 
-  /// Runs a raced sweep (requires race()). Returns the buffered cells sorted
-  /// by (platform, error) index — empty with buffer(false).
-  [[nodiscard]] std::vector<race::RaceCell> execute_race() const;
+  /// Runs a raced sweep (cells indexed by (platform, error)).
+  std::vector<race::RaceCell> execute_race(const race::RaceConsumer& consumer = {}) const;
 
  private:
-  [[nodiscard]] sweep::SweepOptions closed_options() const;
-  [[nodiscard]] sweep::JobsSweepOptions open_options() const;
-  [[nodiscard]] race::RaceOptions race_options() const;
-  void throw_if_invalid(const char* what) const;
-
   std::vector<sweep::SweepPlatform> platforms_;
   std::vector<sweep::AlgorithmSpec> policies_;
-  std::vector<std::string> policy_problems_;  ///< Unknown names, reported by validate().
-  std::vector<double> errors_;
-  std::vector<double> loads_;
-  double workload_ = 1000.0;
-  stats::ErrorDistribution distribution_ = stats::ErrorDistribution::kTruncatedNormal;
-  faults::FaultSpec faults_{};
-  sim::SimOptions::FaultToleranceOptions fault_tolerance_{};
-  jobs::JobsOptions jobs_base_{};
-  bool jobs_mode_ = false;
-  bool race_mode_ = false;
-  double race_delta_ = 0.05;
-  race::Objective race_objective_ = race::Objective::kMakespan;
-  race::RaceConsumer race_consumer_;
-  std::size_t reps_ = 0;  ///< 0 = mode default (40 closed, 3 open, 256 race).
-  std::size_t threads_ = 0;
-  std::uint64_t seed_ = 0x5eed5eed5eedULL;
-  std::size_t rep_block_ = 0;
-  bool audit_ = true;
-  sweep::CellConsumer cell_consumer_;
-  sweep::JobsCellConsumer jobs_consumer_;
-  bool buffer_ = true;
+  Options options_;
 };
 
 /// Builder for the what-if scheduling server (serve/server.hpp): concurrent
@@ -505,51 +350,33 @@ class Sweep {
 ///
 ///   std::istringstream in(framed_requests);
 ///   std::ostringstream out;
-///   obs::ServeStats stats = rumr::Serve()
-///                               .threads(4)
-///                               .cache_capacity(1024)
-///                               .run(in, out);
+///   const rumr::obs::ServeStats stats =
+///       rumr::Serve(rumr::serve::ServerOptions{.threads = 4, .cache_capacity = 1024})
+///           .run(in, out);
 ///   std::printf("%llu lookups, %llu hits\n",
 ///               (unsigned long long)stats.plan_cache.lookups,
 ///               (unsigned long long)stats.plan_cache.hits);
 ///
-/// validate()/run() parity with the other builders: validate() returns every
-/// problem at once, construction throws std::invalid_argument carrying them.
-/// Every run() self-audits — the finished session's counter ledger is
+/// validate() returns every problem at once; make_server() and run() throw
+/// std::invalid_argument carrying them. Every run() self-audits unless
+/// options().audit is cleared — the finished session's counter ledger is
 /// verified by check::audit_serve_stats (admitted + rejected + shed ==
 /// received, hits + misses == lookups, solves == misses, ...); a violation
-/// raises check::CheckError. Disable with .audit(false). Responses are a
-/// pure function of the request bytes: a warm-cache answer is byte-identical
-/// to the cold one.
+/// raises check::CheckError. Responses are a pure function of the request
+/// bytes: a warm-cache answer is byte-identical to the cold one.
 class Serve {
  public:
-  /// Starts from the server defaults: auto-width executor, serial batches,
-  /// a 4096-entry / 64 MiB / 16-shard plan cache, a 64-deep FCFS queue with
-  /// reject-new admission, auditing on.
-  Serve();
+  /// Default options: auto-width executor, serial batches, a 4096-entry /
+  /// 64 MiB / 16-shard plan cache, a 64-deep FCFS queue with reject-new
+  /// admission, auditing on.
+  explicit Serve(serve::ServerOptions options = {});
 
   /// Loads a [serve] description file (see serve/serve_config.hpp for the
   /// schema). Throws config::ConfigError on parse problems.
   [[nodiscard]] static Serve from_file(const std::string& path);
 
-  // Fluent setters ---------------------------------------------------------
-
-  Serve& threads(std::size_t n);        ///< Requests in service (0 = auto).
-  Serve& batch_threads(std::size_t n);  ///< Query fan-out per batch (0 = auto).
-  Serve& cache_capacity(std::size_t entries);
-  Serve& cache_max_bytes(std::size_t bytes);
-  Serve& cache_shards(std::size_t n);
-  Serve& queue_capacity(std::size_t n);
-  Serve& discipline(jobs::QueueDiscipline discipline);
-  Serve& admission(jobs::AdmissionPolicy policy);
-  /// Audit every solved plan and the finished session's ledger (default on).
-  Serve& audit(bool on = true);
-
-  /// The underlying options, for inspection or direct mutation.
   [[nodiscard]] const serve::ServerOptions& options() const noexcept { return options_; }
   [[nodiscard]] serve::ServerOptions& options() noexcept { return options_; }
-
-  // Validation and execution -----------------------------------------------
 
   /// Every problem with the current description; empty = servable.
   [[nodiscard]] std::vector<std::string> validate() const;
@@ -565,7 +392,7 @@ class Serve {
   [[nodiscard]] obs::ServeStats run(std::istream& in, std::ostream& out) const;
 
  private:
-  serve::ServerOptions options_{};
+  serve::ServerOptions options_;
 };
 
 }  // namespace rumr

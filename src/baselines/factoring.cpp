@@ -55,25 +55,19 @@ SelfSchedulingPolicy::SelfSchedulingPolicy(std::string name, std::vector<double>
 std::optional<sim::Dispatch> SelfSchedulingPolicy::next_dispatch(const sim::MasterContext& ctx) {
   if (cursor_ >= chunks_.size()) return std::nullopt;
 
-  // Self-scheduling: feed only alive workers below the outstanding cap (1 =
-  // pure request-driven, 2 = one-chunk prefetch). Among eligible workers
-  // prefer the least loaded, then the one idle the longest (earliest
+  // Pure request-driven self-scheduling: feed only alive workers with no
+  // outstanding chunk, preferring the one idle the longest (earliest
   // completion; subset order initially), matching a FIFO request queue.
   std::size_t best = workers_.size();
-  std::size_t best_outstanding = 0;
   double best_completion = 0.0;
   bool any_alive_in_subset = false;
   for (std::size_t k = 0; k < workers_.size(); ++k) {
     const sim::WorkerStatus& st = ctx.worker_status(workers_[k]);
     if (!st.alive) continue;
     any_alive_in_subset = true;
-    if (st.outstanding >= max_outstanding_) continue;
-    const bool better = best == workers_.size() || st.outstanding < best_outstanding ||
-                        (st.outstanding == best_outstanding &&
-                         st.last_completion < best_completion);
-    if (better) {
+    if (st.outstanding > 0) continue;
+    if (best == workers_.size() || st.last_completion < best_completion) {
       best = k;
-      best_outstanding = st.outstanding;
       best_completion = st.last_completion;
     }
   }

@@ -58,24 +58,12 @@ class SelfSchedulingPolicy : public sim::SchedulerPolicy {
   /// The precomputed chunk-size sequence, for inspection/testing.
   [[nodiscard]] const std::vector<double>& chunk_sequence() const noexcept { return chunks_; }
 
-  /// How many chunks a worker may have outstanding before it stops being fed.
-  /// 1 (default) is pure request-driven self-scheduling: a worker gets its
-  /// next chunk only when fully idle — no communication/computation overlap,
-  /// which is the paper's criticism of Factoring. 2 prefetches one chunk
-  /// while the current one computes (RUMR's phase 2 uses this, hiding the
-  /// dispatch latency under the tail of phase 1).
-  void set_max_outstanding(std::size_t max_outstanding) noexcept {
-    max_outstanding_ = max_outstanding == 0 ? 1 : max_outstanding;
-  }
-  [[nodiscard]] std::size_t max_outstanding() const noexcept { return max_outstanding_; }
-
  private:
   std::string name_;
   std::vector<double> chunks_;
   std::size_t cursor_ = 0;
   std::vector<std::size_t> workers_;
   double total_work_ = 0.0;
-  std::size_t max_outstanding_ = 1;
 };
 
 /// Options for the factoring chunk-size sequence.

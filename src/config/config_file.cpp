@@ -15,6 +15,13 @@ std::string trim(const std::string& text) {
   return text.substr(begin, end - begin);
 }
 
+std::string lower_ascii(std::string text) {
+  for (char& c : text) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  return text;
+}
+
 namespace {
 
 /// Strips a trailing comment that starts with '#' or ';' (no quoting rules:

@@ -77,4 +77,9 @@ class ConfigFile {
 /// Trims ASCII whitespace from both ends (exposed for reuse and tests).
 [[nodiscard]] std::string trim(const std::string& text);
 
+/// Lower-cases ASCII letters, leaving every other byte as is. Every
+/// case-insensitive value (policy names from files and the CLI, the [jobs]
+/// and [serve] vocabularies) is folded through this one function.
+[[nodiscard]] std::string lower_ascii(std::string text);
+
 }  // namespace rumr::config

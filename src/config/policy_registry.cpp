@@ -1,7 +1,6 @@
 #include "config/policy_registry.hpp"
 
 #include <charconv>
-#include <limits>
 #include <utility>
 
 #include "baselines/factoring.hpp"
@@ -19,8 +18,6 @@ namespace {
 
 using platform::StarPlatform;
 using Policy = std::unique_ptr<sim::SchedulerPolicy>;
-
-constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 
 /// A factory for a policy that takes only the platform and the workload.
 template <Policy (*Make)(const StarPlatform&, double)>
@@ -76,7 +73,9 @@ constexpr PolicyRow kPolicies[] = {
      [](const StarPlatform& p, double w, double, std::size_t installments) {
        return baselines::make_mi_policy(p, w, installments);
      },
-     ParamRange{1, kUnbounded, 2}},
+     // Bounded because the solve sizes an N·x × (N+1) band: an unchecked x
+     // from a run file or a served query would be an allocation request.
+     ParamRange{1, 64, 2}},
     {"factoring", "Factoring", &plain<&baselines::make_factoring_policy>},
     {"wf", "WF", &plain<&baselines::make_weighted_factoring_policy>},
     {"gss", "GSS", &plain<&baselines::make_gss_policy>},
@@ -91,9 +90,8 @@ constexpr PolicyRow kPolicies[] = {
   std::string message = "unknown algorithm: " + std::string(key);
   if (family != nullptr) {
     message += " (" + std::string(family->key) + "<n> takes decimal n >= " +
-               std::to_string(family->param->min);
-    if (family->param->max != kUnbounded) message += ", <= " + std::to_string(family->param->max);
-    message += ")";
+               std::to_string(family->param->min) + ", <= " +
+               std::to_string(family->param->max) + ")";
   }
   throw ConfigError(message);
 }

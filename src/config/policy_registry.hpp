@@ -11,7 +11,7 @@
 ///
 ///   rumr | rumr-inorder | rumr-adaptive | umr | umr-eager |
 ///   factoring | wf | gss | tss | fsc      fixed keys
-///   mi-<x>      Multi-Installment with x >= 1 installments (MI-x)
+///   mi-<x>      Multi-Installment with x in [1, 64] installments (MI-x)
 ///   rumr-<pct>  RUMR with a fixed pct in [0, 100] percent of the workload
 ///               in phase 1 (RUMR-<pct>, the Figure 6 ablation)
 ///

@@ -1,7 +1,6 @@
 #include "config/run_description.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 
 #include "config/policy_registry.hpp"
@@ -121,9 +120,7 @@ RunDescription run_from_config(const ConfigFile& file) {
   run.w_total = file.require_double("workload", "total");
   if (!(run.w_total > 0.0)) throw ConfigError("[workload] total must be positive");
 
-  run.algorithm = file.get_string("schedule", "algorithm", "rumr");
-  std::transform(run.algorithm.begin(), run.algorithm.end(), run.algorithm.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  run.algorithm = lower_ascii(file.get_string("schedule", "algorithm", "rumr"));
   run.known_error = file.get_double("schedule", "error",
                                     file.get_double("simulation", "error", 0.0));
 

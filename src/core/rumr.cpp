@@ -94,12 +94,13 @@ RumrPolicy::RumrPolicy(const platform::StarPlatform& platform, double w_total,
       phase2_ = std::make_unique<baselines::WeightedFactoringPolicy>(
           w_phase2_, std::move(workers), weights, factoring);
     }
-    // Phase 2 stays strictly request-driven (max_outstanding = 1, the
-    // SelfSchedulingPolicy default). We measured the one-chunk-prefetch
-    // alternative (set_max_outstanding(2)): hiding the dispatch latency is
-    // paid for by losing late binding — a chunk committed to a worker that
-    // then runs slow cannot be rebalanced — and the net effect is slightly
-    // negative across the Table 1 space. See bench_ablation_buffering.
+    // Phase 2 stays strictly request-driven: a worker gets its next chunk
+    // only when it has none outstanding. We measured the one-chunk-prefetch
+    // alternative (feeding a worker while its current chunk computes):
+    // hiding the dispatch latency is paid for by losing late binding — a
+    // chunk committed to a worker that then runs slow cannot be rebalanced
+    // — and the net effect is slightly negative across the Table 1 space.
+    // See bench_ablation_buffering.
   }
 }
 

@@ -1,19 +1,12 @@
 #include "jobs/jobs_config.hpp"
 
-#include <algorithm>
-#include <cctype>
-
 #include "config/run_description.hpp"
 
 namespace rumr::jobs {
 
-namespace {
+using config::lower_ascii;
 
-std::string lower(std::string text) {
-  std::transform(text.begin(), text.end(), text.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return text;
-}
+namespace {
 
 SizeDistribution parse_size_distribution(const std::string& name) {
   if (name == "fixed") return SizeDistribution::kFixed;
@@ -55,7 +48,7 @@ JobsOptions jobs_options_from_config(const config::ConfigFile& file,
   options.stream.max_jobs = file.get_size("jobs", "jobs", options.stream.max_jobs);
   options.stream.mean_size = file.get_double("jobs", "mean_size", options.stream.mean_size);
   options.stream.size_dist =
-      parse_size_distribution(lower(file.get_string("jobs", "size_distribution", "fixed")));
+      parse_size_distribution(lower_ascii(file.get_string("jobs", "size_distribution", "fixed")));
   options.stream.size_spread = file.get_double("jobs", "size_spread", 0.0);
   options.stream.max_weight = file.get_double("jobs", "max_weight", 1.0);
   const double load = file.get_double("jobs", "load", 0.0);
@@ -67,15 +60,15 @@ JobsOptions jobs_options_from_config(const config::ConfigFile& file,
         file.get_double("jobs", "arrival_rate", options.stream.arrival_rate);
   }
 
-  options.sharing = parse_sharing(lower(file.get_string("jobs", "sharing", "exclusive")));
+  options.sharing = parse_sharing(lower_ascii(file.get_string("jobs", "sharing", "exclusive")));
   options.partitions = file.get_size("jobs", "partitions", options.partitions);
   options.max_degree = file.get_size("jobs", "max_degree", 0);
-  options.discipline = parse_discipline(lower(file.get_string("jobs", "queue", "fcfs")));
-  options.admission = parse_admission(lower(file.get_string("jobs", "admission", "reject")));
+  options.discipline = parse_discipline(lower_ascii(file.get_string("jobs", "queue", "fcfs")));
+  options.admission = parse_admission(lower_ascii(file.get_string("jobs", "admission", "reject")));
   options.queue_capacity = file.get_size("jobs", "queue_capacity", options.queue_capacity);
   options.record_trace = file.get_bool("jobs", "record_trace", false);
 
-  options.algorithm = lower(file.get_string("schedule", "algorithm", "rumr"));
+  options.algorithm = lower_ascii(file.get_string("schedule", "algorithm", "rumr"));
   options.known_error = file.get_double("schedule", "error",
                                         file.get_double("simulation", "error", 0.0));
   options.sim = config::sim_options_from_config(file);

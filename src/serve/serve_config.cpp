@@ -1,20 +1,8 @@
 #include "serve/serve_config.hpp"
 
-#include <algorithm>
-#include <cctype>
-
 #include "jobs/jobs_config.hpp"
 
 namespace rumr::serve {
-namespace {
-
-std::string lower(std::string text) {
-  std::transform(text.begin(), text.end(), text.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return text;
-}
-
-}  // namespace
 
 ServerOptions server_options_from_config(const config::ConfigFile& file) {
   ServerOptions options;
@@ -24,9 +12,10 @@ ServerOptions server_options_from_config(const config::ConfigFile& file) {
   options.cache_max_bytes = file.get_size("serve", "cache_bytes", options.cache_max_bytes);
   options.cache_shards = file.get_size("serve", "cache_shards", options.cache_shards);
   options.queue_capacity = file.get_size("serve", "queue_capacity", options.queue_capacity);
-  options.discipline = jobs::parse_discipline(lower(file.get_string("serve", "queue", "fcfs")));
+  options.discipline =
+      jobs::parse_discipline(config::lower_ascii(file.get_string("serve", "queue", "fcfs")));
   options.admission =
-      jobs::parse_admission(lower(file.get_string("serve", "admission", "reject")));
+      jobs::parse_admission(config::lower_ascii(file.get_string("serve", "admission", "reject")));
   options.audit = file.get_bool("serve", "audit", options.audit);
   return options;
 }

@@ -1,13 +1,15 @@
-// Tests for the public API facade (api/rumr.hpp): the Run builder, its
-// execution paths, self-auditing, and file loading.
+// Tests for the public API facade (api/rumr.hpp): the Run, JobsRun and
+// Sweep builders, their execution paths, self-auditing, and file loading.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include "api/rumr.hpp"
@@ -26,37 +28,44 @@ platform::StarPlatform small_platform() {
   return platform::StarPlatform::homogeneous(params);
 }
 
-TEST(RunBuilder, SettersRoundTripIntoDescription) {
-  rumr::Run run = rumr::Run()
-                .platform(small_platform())
-                .workload(250.0)
-                .algorithm("umr-eager")
-                .known_error(0.25)
-                .error(0.3)
-                .seed(123)
-                .repetitions(7);
-  const config::RunDescription& desc = run.description();
+/// A Run of `algorithm` over `w_total` units on small_platform().
+rumr::Run small_run(double w_total, const char* algorithm = "rumr") {
+  rumr::Run run;
+  run.description().platform = small_platform();
+  run.description().w_total = w_total;
+  run.description().algorithm = algorithm;
+  return run;
+}
+
+TEST(RunBuilder, DefaultsAndDescriptionRoundTrip) {
+  const rumr::Run defaults;
+  EXPECT_EQ(defaults.description().platform.size(), 10u);  // Table-1 homogeneous.
+  EXPECT_EQ(defaults.description().algorithm, "rumr");
+  EXPECT_EQ(defaults.description().repetitions, 1u);
+  EXPECT_FALSE(defaults.description().sim_options.record_trace);
+
+  rumr::Run run = small_run(250.0, "umr-eager");
+  run.description().known_error = 0.25;
+  run.description().sim_options = sim::SimOptions::with_error(0.3, 123);
+  run.description().repetitions = 7;
+  const rumr::Run copy = run;  // The description is the builder's whole state.
+  const config::RunDescription& desc = copy.description();
   EXPECT_EQ(desc.platform.size(), 4u);
   EXPECT_DOUBLE_EQ(desc.w_total, 250.0);
   EXPECT_EQ(desc.algorithm, "umr-eager");
   EXPECT_DOUBLE_EQ(desc.known_error, 0.25);
+  EXPECT_DOUBLE_EQ(desc.sim_options.comm_error.base.error(), 0.3);
   EXPECT_EQ(desc.sim_options.seed, 123u);
   EXPECT_EQ(desc.repetitions, 7u);
 }
 
-TEST(RunBuilder, FaultAndLinkSettersRoundTripAndExecuteAudited) {
-  rumr::Run run = rumr::Run()
-                      .platform(small_platform())
-                      .workload(200.0)
-                      .algorithm("factoring")
-                      .link_faults(faults::LinkFaultSpec::lossy(0.05))
-                      .retransmit()
-                      .checkpoint_interval(0.5)
-                      .seed(7);
-  const sim::SimOptions& o = run.description().sim_options;
-  EXPECT_DOUBLE_EQ(o.link.loss, 0.05);
-  EXPECT_TRUE(o.retransmit.enabled);
-  EXPECT_DOUBLE_EQ(o.checkpoint.interval, 0.5);
+TEST(RunBuilder, FaultAndLinkOptionsExecuteAudited) {
+  rumr::Run run = small_run(200.0, "factoring");
+  sim::SimOptions& o = run.description().sim_options;
+  o.link = faults::LinkFaultSpec::lossy(0.05);
+  o.retransmit.enabled = true;
+  o.checkpoint.interval = 0.5;
+  o.seed = 7;
 
   // A faulty run executes through the facade and passes its self-audit
   // (execute() raises check::CheckError on any violation).
@@ -69,29 +78,32 @@ TEST(RunBuilder, FaultAndLinkSettersRoundTripAndExecuteAudited) {
 
 TEST(RunBuilder, DefaultConstructedRunExecutes) {
   // The default description must be a valid, audited run out of the box.
-  rumr::Run run = rumr::Run().workload(200.0);
+  rumr::Run run;
+  run.description().w_total = 200.0;
   const RunResult result = run.execute();
   EXPECT_GT(result.makespan, 0.0);
   EXPECT_DOUBLE_EQ(result.metrics.makespan, result.makespan);
 }
 
 TEST(RunExecute, ProducesAuditedMetricsAndOptionalTrace) {
-  rumr::Run run =
-      rumr::Run().platform(small_platform()).workload(300.0).algorithm("rumr").known_error(0.2).error(
-          0.2);
+  rumr::Run run = small_run(300.0);
+  run.description().known_error = 0.2;
+  run.description().sim_options = sim::SimOptions::with_error(0.2);
   const RunResult untraced = run.execute();
   EXPECT_TRUE(untraced.trace.spans().empty());
   EXPECT_FALSE(untraced.metrics.engine.workers.empty());
   EXPECT_NEAR(untraced.metrics.engine.uplink_busy_time + untraced.metrics.engine.uplink_idle_time,
               untraced.makespan, 1e-9);
 
-  const RunResult traced = run.record_trace().execute();
+  run.description().sim_options.record_trace = true;
+  const RunResult traced = run.execute();
   EXPECT_FALSE(traced.trace.spans().empty());
   EXPECT_DOUBLE_EQ(traced.makespan, untraced.makespan);
 }
 
 TEST(RunExecute, IsDeterministicAtFixedSeed) {
-  rumr::Run run = rumr::Run().platform(small_platform()).workload(300.0).error(0.4).seed(9);
+  rumr::Run run = small_run(300.0);
+  run.description().sim_options = sim::SimOptions::with_error(0.4, 9);
   const RunResult a = run.execute();
   const RunResult b = run.execute();
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
@@ -100,7 +112,9 @@ TEST(RunExecute, IsDeterministicAtFixedSeed) {
 }
 
 TEST(RunExecuteAll, DerivesDistinctSeedsPerRepetition) {
-  rumr::Run run = rumr::Run().platform(small_platform()).workload(300.0).error(0.4).seed(9).repetitions(3);
+  rumr::Run run = small_run(300.0);
+  run.description().sim_options = sim::SimOptions::with_error(0.4, 9);
+  run.description().repetitions = 3;
   const std::vector<RunResult> results = run.execute_all();
   ASSERT_EQ(results.size(), 3u);
   // Independent error draws: at least two repetitions should differ.
@@ -109,8 +123,10 @@ TEST(RunExecuteAll, DerivesDistinctSeedsPerRepetition) {
 }
 
 TEST(RunExecuteAll, TracesOnlyLastRepetition) {
-  rumr::Run run =
-      rumr::Run().platform(small_platform()).workload(300.0).error(0.2).repetitions(3).record_trace();
+  rumr::Run run = small_run(300.0);
+  run.description().sim_options = sim::SimOptions::with_error(0.2);
+  run.description().sim_options.record_trace = true;
+  run.description().repetitions = 3;
   const std::vector<RunResult> results = run.execute_all();
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].trace.spans().empty());
@@ -118,14 +134,21 @@ TEST(RunExecuteAll, TracesOnlyLastRepetition) {
   EXPECT_FALSE(results[2].trace.spans().empty());
 }
 
+TEST(RunExecuteAll, UntracedDescriptionTracesNoRepetition) {
+  rumr::Run run = small_run(300.0);
+  run.description().sim_options = sim::SimOptions::with_error(0.2);
+  run.description().repetitions = 2;
+  for (const RunResult& result : run.execute_all()) EXPECT_TRUE(result.trace.spans().empty());
+}
+
 TEST(RunExecute, InvalidOptionsThrowSimError) {
-  rumr::Run run = rumr::Run().platform(small_platform()).workload(300.0);
+  rumr::Run run = small_run(300.0);
   run.description().sim_options.worker_buffer_capacity = 0;
   EXPECT_THROW((void)run.execute(), sim::SimError);
 }
 
 TEST(RunExecute, UnknownAlgorithmThrowsConfigError) {
-  rumr::Run run = rumr::Run().platform(small_platform()).workload(300.0).algorithm("definitely-not-real");
+  rumr::Run run = small_run(300.0, "definitely-not-real");
   EXPECT_THROW((void)run.execute(), config::ConfigError);
 }
 
@@ -164,20 +187,21 @@ TEST(RunFromFile, MissingFileThrows) {
 }
 
 TEST(JobsRunFacade, BuildsExecutesAndSelfAudits) {
-  const jobs::ServiceResult result = rumr::Run()
-                                         .platform(small_platform())
-                                         .algorithm("rumr")
-                                         .known_error(0.2)
-                                         .error(0.2)
-                                         .seed(7)
-                                         .jobs()
-                                         .poisson_load(0.6, 20, 150.0)
-                                         .sharing(jobs::SharingPolicy::kFractional)
-                                         .execute();
+  rumr::Run run = small_run(0.0);
+  run.description().known_error = 0.2;
+  run.description().sim_options = sim::SimOptions::with_error(0.2, 7);
+  rumr::JobsRun jobs_run = run.jobs();
+  // Run::jobs() carried the per-job scheduler settings over.
+  EXPECT_EQ(jobs_run.platform().size(), 4u);
+  EXPECT_EQ(jobs_run.options().algorithm, "rumr");
+  EXPECT_DOUBLE_EQ(jobs_run.options().known_error, 0.2);
+  EXPECT_EQ(jobs_run.options().sim.seed, 7u);
+
+  jobs_run.options().sharing = jobs::SharingPolicy::kFractional;
+  const jobs::ServiceResult result = jobs_run.poisson_load(0.6, 20, 150.0).execute();
   EXPECT_EQ(result.arrived, 20u);
   EXPECT_EQ(result.completed, 20u);
   EXPECT_GE(result.mean_slowdown(), 1.0);
-  // Run::jobs() carried the per-job scheduler settings over.
   EXPECT_NEAR(result.offered_load, 0.6, 0.4);  // Realized load tracks the target.
 }
 
@@ -186,25 +210,22 @@ TEST(JobsRunFacade, FaultStackFlowsThroughRunJobsAndPassesServiceAudit) {
   // retransmit protocol, partial-work checkpointing — must survive the
   // Run::jobs() handoff into the open-system engine, and a faulty multi-job
   // run must still satisfy every service identity.
-  rumr::Run base = rumr::Run()
-                       .platform(small_platform())
-                       .algorithm("rumr")
-                       .known_error(0.2)
-                       .error(0.2)
-                       .faults(faults::FaultSpec::transient(200.0, 20.0))
-                       .link_faults(faults::LinkFaultSpec::lossy(0.05))
-                       .retransmit()
-                       .checkpoint_interval(0.5)
-                       .seed(21);
+  rumr::Run base = small_run(0.0);
+  base.description().known_error = 0.2;
+  sim::SimOptions& o = base.description().sim_options;
+  o = sim::SimOptions::with_error(0.2, 21);
+  o.faults = faults::FaultSpec::transient(200.0, 20.0);
+  o.link = faults::LinkFaultSpec::lossy(0.05);
+  o.retransmit.enabled = true;
+  o.checkpoint.interval = 0.5;
   rumr::JobsRun jobs_run = base.jobs();
   EXPECT_DOUBLE_EQ(jobs_run.options().sim.link.loss, 0.05);
   EXPECT_DOUBLE_EQ(jobs_run.options().sim.faults.mtbf, 200.0);
   EXPECT_TRUE(jobs_run.options().sim.retransmit.enabled);
   EXPECT_DOUBLE_EQ(jobs_run.options().sim.checkpoint.interval, 0.5);
 
-  const jobs::ServiceResult result = jobs_run.poisson_load(0.5, 10, 100.0)
-                                         .sharing(jobs::SharingPolicy::kFractional)
-                                         .execute();
+  jobs_run.options().sharing = jobs::SharingPolicy::kFractional;
+  const jobs::ServiceResult result = jobs_run.poisson_load(0.5, 10, 100.0).execute();
   EXPECT_EQ(result.arrived, 10u);
   EXPECT_EQ(result.completed, 10u);
   const check::AuditReport report =
@@ -214,8 +235,26 @@ TEST(JobsRunFacade, FaultStackFlowsThroughRunJobsAndPassesServiceAudit) {
 
 TEST(JobsRunFacade, InvalidOptionsThrowAtExecute) {
   rumr::JobsRun run;
-  run.algorithm("definitely-not-real");
+  run.options().algorithm = "definitely-not-real";
   EXPECT_THROW((void)run.execute(), std::invalid_argument);
+}
+
+TEST(JobsRunFacade, PoissonLoadDerivesTheRateFromTheFinalPlatform) {
+  rumr::JobsRun by_load;
+  by_load.poisson_load(0.5, 6, 100.0);
+  by_load.platform() = small_platform();  // After poisson_load: the rate follows it.
+
+  rumr::JobsRun by_rate;
+  by_rate.platform() = small_platform();
+  by_rate.options().stream = jobs::JobStreamSpec::poisson(
+      jobs::JobStreamSpec::rate_for_load(small_platform(), 0.5, 100.0), 6, 100.0);
+
+  const jobs::ServiceResult a = by_load.execute();
+  const jobs::ServiceResult b = by_rate.execute();
+  EXPECT_EQ(a.completed, 6u);
+  EXPECT_EQ(a.offered_load, b.offered_load);
+  EXPECT_EQ(a.residence_time, b.residence_time);
+  EXPECT_EQ(a.mean_slowdown(), b.mean_slowdown());
 }
 
 TEST(JobsRunFacade, FromFileLoadsTheJobsSchema) {
@@ -258,58 +297,69 @@ bool mentions(const std::vector<std::string>& problems, const std::string& needl
 }
 
 TEST(SweepFacade, ValidateListsEveryProblemIncludingCrossFieldConflicts) {
-  rumr::Sweep sweep;  // No platforms yet.
-  sweep.policies(std::vector<std::string>{"rumr", "not-a-policy"})
-      .reps(2)
-      .rep_block(5)     // Larger than reps: shards cannot exceed a cell.
-      .threads(64)      // Far more threads than shards.
-      .buffer(false);   // ...and no on_cell consumer.
+  // No platforms yet; a shard larger than a cell; far more threads than shards.
+  rumr::Sweep sweep(sweep::SweepOptions{.repetitions = 2, .threads = 64, .rep_block = 5});
+  sweep.policies(std::vector<std::string>{"rumr", "not-a-policy"});
   const std::vector<std::string> problems = sweep.validate();
   EXPECT_TRUE(mentions(problems, "platform axis is empty")) << problems.size();
   EXPECT_TRUE(mentions(problems, "not-a-policy"));
-  EXPECT_TRUE(mentions(problems, "buffering is disabled"));
   EXPECT_TRUE(mentions(problems, "shards cannot be larger"));
+  EXPECT_THROW((void)sweep.execute(), std::invalid_argument);
+
+  sweep.policies().clear();
+  EXPECT_TRUE(mentions(sweep.validate(), "policy line-up is empty"));
 }
 
-TEST(SweepFacade, ValidateFlagsWrongModeConsumerAndIdleThreads) {
-  rumr::Sweep sweep;
-  sweep.platforms(std::vector<sweep::PlatformConfig>{{10, 1.5, 0.1, 0.05}})
-      .errors({0.2})
-      .reps(2)
-      .rep_block(2)  // One shard total, so 8 threads would mostly idle.
-      .threads(8)
-      .on_cell(sweep::JobsCellConsumer([](const sweep::JobsSweepCell&) {}));
+TEST(SweepFacade, ValidateFlagsIdleThreads) {
+  // One shard total, so 8 threads would mostly idle.
+  rumr::Sweep sweep(
+      sweep::SweepOptions{.errors = {0.2}, .repetitions = 2, .threads = 8, .rep_block = 2});
+  sweep.platforms() = sweep::wrap_grid({{10, 1.5, 0.1, 0.05}});
   const std::vector<std::string> problems = sweep.validate();
-  EXPECT_TRUE(mentions(problems, "open-system on_cell consumer"));
+  ASSERT_EQ(problems.size(), 1u);
   EXPECT_TRUE(mentions(problems, "threads"));
 }
 
 TEST(SweepFacade, ExecuteRejectsTheWrongMode) {
   rumr::Sweep closed;
-  closed.platforms(std::vector<sweep::PlatformConfig>{{10, 1.5, 0.1, 0.05}});
+  closed.platforms() = sweep::wrap_grid({{10, 1.5, 0.1, 0.05}});
   EXPECT_THROW((void)closed.execute_jobs(), std::invalid_argument);
+  EXPECT_THROW((void)closed.execute_race(), std::invalid_argument);
 
-  rumr::Sweep open;
-  jobs::JobsOptions base;
-  base.stream = jobs::JobStreamSpec::poisson(1.0, 4, 100.0);
-  open.platforms(std::vector<sweep::PlatformConfig>{{10, 1.5, 0.1, 0.05}}).jobs(base);
+  sweep::JobsSweepOptions options;
+  options.base.stream = jobs::JobStreamSpec::poisson(1.0, 4, 100.0);
+  rumr::Sweep open(options);
+  open.platforms() = closed.platforms();
+  EXPECT_TRUE(open.validate().empty());
   EXPECT_THROW((void)open.execute(), std::invalid_argument);
+  EXPECT_THROW((void)open.execute_race(), std::invalid_argument);
 }
 
-TEST(SweepFacade, BufferedCellsArriveSortedAndStreamToTheConsumerToo) {
-  std::size_t streamed = 0;
-  rumr::Sweep sweep;
-  const std::vector<sweep::SweepCell> cells =
-      sweep.platforms(std::vector<sweep::PlatformConfig>{{10, 1.5, 0.1, 0.05}, {4, 2.0, 0.3, 0.1}})
-          .errors({0.0, 0.3})
-          .policies(std::vector<std::string>{"rumr", "umr"})
-          .workload(150.0)
-          .reps(3)
-          .threads(2)
-          .on_cell(sweep::CellConsumer([&](const sweep::SweepCell&) { ++streamed; }))
-          .execute();
+TEST(SweepFacade, EachModeStartsFromItsOwnDefaults) {
+  EXPECT_EQ(std::get<sweep::SweepOptions>(rumr::Sweep().options()).repetitions, 40u);
+  EXPECT_EQ(
+      std::get<sweep::JobsSweepOptions>(rumr::Sweep(sweep::JobsSweepOptions{}).options())
+          .repetitions,
+      3u);
+  const rumr::RaceSweepOptions raced =
+      std::get<rumr::RaceSweepOptions>(rumr::Sweep(rumr::RaceSweepOptions{}).options());
+  EXPECT_EQ(raced.race.max_reps, 256u);
+  EXPECT_EQ(raced.race.block, 8u);
+  EXPECT_EQ(raced.errors, sweep::error_axis());
+}
+
+/// A small closed-system sweep: 2 platforms x 2 errors x 2 policies, 3 reps.
+rumr::Sweep small_closed_sweep() {
+  rumr::Sweep sweep(sweep::SweepOptions{
+      .errors = {0.0, 0.3}, .repetitions = 3, .w_total = 150.0, .threads = 2});
+  sweep.platforms() = sweep::wrap_grid({{10, 1.5, 0.1, 0.05}, {4, 2.0, 0.3, 0.1}});
+  sweep.policies(std::vector<std::string>{"rumr", "umr"});
+  return sweep;
+}
+
+TEST(SweepFacade, NoConsumerBuffersAndSortsTheCells) {
+  const std::vector<sweep::SweepCell> cells = small_closed_sweep().execute();
   ASSERT_EQ(cells.size(), 2u * 2u * 2u);
-  EXPECT_EQ(streamed, cells.size());
   for (std::size_t i = 1; i < cells.size(); ++i) {
     const auto key = [](const sweep::SweepCell& c) {
       return std::tuple{c.platform_index, c.error_index, c.algorithm_index};
@@ -322,21 +372,30 @@ TEST(SweepFacade, BufferedCellsArriveSortedAndStreamToTheConsumerToo) {
   }
 }
 
-TEST(SweepFacade, OpenSystemModeSweepsTheLoadAxis) {
-  jobs::JobsOptions base;
-  base.stream = jobs::JobStreamSpec::poisson(1.0, 5, 100.0);
-  base.known_error = 0.1;
-  base.sim = sim::SimOptions::with_error(0.1, 3);
-  base.retain_jobs = false;  // Streaming mode end-to-end through the facade.
+TEST(SweepFacade, ConsumerStreamsEachCellOnceAndNothingIsBuffered) {
+  std::map<std::tuple<std::size_t, std::size_t, std::size_t>, int> seen;
+  const std::vector<sweep::SweepCell> returned =
+      small_closed_sweep().execute([&seen](const sweep::SweepCell& c) {
+        ++seen[{c.platform_index, c.error_index, c.algorithm_index}];
+      });
+  EXPECT_TRUE(returned.empty());
+  ASSERT_EQ(seen.size(), 2u * 2u * 2u);
+  for (const auto& [key, count] : seen) EXPECT_EQ(count, 1);
+}
 
-  rumr::Sweep sweep;
-  const std::vector<sweep::JobsSweepCell> cells =
-      sweep.platforms(std::vector<sweep::PlatformConfig>{{10, 1.5, 0.1, 0.05}})
-          .jobs(base)
-          .loads({0.4, 0.7})
-          .reps(2)
-          .threads(2)
-          .execute_jobs();
+TEST(SweepFacade, OpenSystemModeSweepsTheLoadAxis) {
+  sweep::JobsSweepOptions options;
+  options.loads = {0.4, 0.7};
+  options.repetitions = 2;
+  options.threads = 2;
+  options.base.stream = jobs::JobStreamSpec::poisson(1.0, 5, 100.0);
+  options.base.known_error = 0.1;
+  options.base.sim = sim::SimOptions::with_error(0.1, 3);
+  options.base.retain_jobs = false;  // Streaming mode end-to-end through the facade.
+
+  rumr::Sweep sweep(options);
+  sweep.platforms() = sweep::wrap_grid({{10, 1.5, 0.1, 0.05}});
+  const std::vector<sweep::JobsSweepCell> cells = sweep.execute_jobs();
   ASSERT_EQ(cells.size(), 2u);
   for (const sweep::JobsSweepCell& cell : cells) {
     EXPECT_EQ(cell.stats.reps, 2u);
@@ -349,15 +408,11 @@ TEST(SweepFacade, MatchesTheRawEngineByteForByte) {
   // The facade is a description builder, not a second engine: its cells must
   // be bitwise-identical to run_sweep_streaming with the same description.
   const std::vector<sweep::PlatformConfig> configs = {{10, 1.5, 0.1, 0.05}};
-  rumr::Sweep sweep;
-  const std::vector<sweep::SweepCell> via_facade =
-      sweep.platforms(configs)
-          .errors({0.2})
-          .policies(std::vector<std::string>{"rumr", "factoring"})
-          .workload(200.0)
-          .reps(4)
-          .seed(77)
-          .execute();
+  rumr::Sweep sweep(sweep::SweepOptions{
+      .errors = {0.2}, .repetitions = 4, .w_total = 200.0, .base_seed = 77});
+  sweep.platforms() = sweep::wrap_grid(configs);
+  sweep.policies(std::vector<std::string>{"rumr", "factoring"});
+  const std::vector<sweep::SweepCell> via_facade = sweep.execute();
 
   sweep::SweepOptions options;
   options.errors = {0.2};

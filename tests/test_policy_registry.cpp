@@ -39,12 +39,15 @@ struct VocabularyCase {
 // Every entry point that takes a policy name must agree on each of these.
 constexpr VocabularyCase kVocabulary[] = {
     {"rumr", true},
-    {"MI-2", false},  // Keys are case-sensitive (run files lower-case them first).
+    {"MI-2", false},  // Keys are case-sensitive (run files and rumr_cli fold them first).
     {"mi-", false},
     {"mi-0", false},
     {"mi-00", false},
     {"mi-3x", false},
     {"mi-18446744073709551617", false},  // Overflows 64 bits.
+    {"mi-64", true},
+    {"mi-65", false},          // Above the family's bound.
+    {"mi-4294967296", false},  // Would size a band of N·2^32 rows.
     {"rumr-70", true},
     {"rumr-101", false},
     {"quantum-annealing", false},
@@ -78,8 +81,9 @@ TEST(PolicyRegistry, EveryEntryPointAgreesOnTheVocabulary) {
 }
 
 TEST(PolicyRegistry, RejectionsAreConfigErrorsNamingTheKey) {
-  for (const char* key : {"mi-", "mi-0", "mi-3x", "mi-+3", "mi--1", "mi-18446744073709551616",
-                          "rumr-101", "rumr-", "rumr-5.5", "RUMR", " rumr", "frobnicate"}) {
+  for (const char* key : {"mi-", "mi-0", "mi-3x", "mi-+3", "mi--1", "mi-65", "mi-4294967296",
+                          "mi-18446744073709551616", "rumr-101", "rumr-", "rumr-5.5", "RUMR",
+                          " rumr", "frobnicate"}) {
     try {
       (void)config::resolve_policy(key);
       ADD_FAILURE() << key << " resolved";
@@ -92,8 +96,8 @@ TEST(PolicyRegistry, RejectionsAreConfigErrorsNamingTheKey) {
 
 TEST(PolicyRegistry, FamiliesParseTheirParameterOnceAndLabelIt) {
   EXPECT_EQ(config::resolve_policy("mi-1").param, 1u);
-  EXPECT_EQ(config::resolve_policy("mi-18446744073709551615").param,
-            18446744073709551615ULL);  // Resolves; never built here.
+  EXPECT_EQ(config::resolve_policy("mi-64").param, 64u);
+  EXPECT_THROW((void)config::resolve_policy("mi-18446744073709551615"), config::ConfigError);
   EXPECT_EQ(config::resolve_policy("rumr-0").display, "RUMR-0");
   EXPECT_EQ(config::resolve_policy("rumr-100").display, "RUMR-100");
   EXPECT_EQ(config::resolve_policy("mi-02").display, "MI-2");
@@ -139,12 +143,9 @@ TEST(PolicyRegistry, LineUpsKeepTheirDisplayNamesAndOrder) {
 }
 
 TEST(PolicyRegistry, NameBasedSweepLabelsCellsWithTheDisplayName) {
-  rumr::Sweep sweep;
-  sweep.platforms(std::vector<sweep::PlatformConfig>{{4, 1.5, 0.1, 0.05}})
-      .errors({0.0})
-      .policies(std::vector<std::string>{"rumr", "mi-2"})
-      .reps(1)
-      .workload(100.0);
+  rumr::Sweep sweep(sweep::SweepOptions{.errors = {0.0}, .repetitions = 1, .w_total = 100.0});
+  sweep.platforms() = sweep::wrap_grid({{4, 1.5, 0.1, 0.05}});
+  sweep.policies(std::vector<std::string>{"rumr", "mi-2"});
   std::vector<std::string> labels;
   for (const sweep::SweepCell& cell : sweep.execute()) labels.push_back(cell.algorithm);
   EXPECT_EQ(labels, (std::vector<std::string>{"RUMR", "MI-2"}));

@@ -15,6 +15,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -318,25 +319,39 @@ TEST(Race, BuilderValidateReportsEveryProblem) {
   rumr::Race builder;
   EXPECT_TRUE(builder.validate().empty());  // Defaults are executable.
 
-  builder.policies(std::vector<std::string>{"no-such-policy"}).delta(2.0).error(-0.1);
+  builder.policies(std::vector<std::string>{"no-such-policy"});
+  builder.options().delta = 2.0;
+  builder.error() = -0.1;
   const std::vector<std::string> problems = builder.validate();
   EXPECT_EQ(problems.size(), 3u);
   EXPECT_THROW((void)builder.execute(), std::invalid_argument);
+
+  builder.policies().clear();
+  EXPECT_EQ(builder.validate().size(), 3u);  // The empty line-up replaces the bad name.
+}
+
+TEST(Race, BuilderMatchesRaceCellAndCanSkipItsAudits) {
+  rumr::Race builder;
+  builder.platform() = sweep::SweepPlatform::from_config({6, 1.5, 0.1, 0.05});
+  builder.policies(std::vector<std::string>{"rumr", "factoring"});
+  builder.options().max_reps = 16;
+  builder.options().w_total = 200.0;
+  builder.options().audit_runs = false;
+  builder.options().audit_result = false;
+  const race::RaceResult direct = race::race_cell(builder.platform(), builder.policies(),
+                                                  builder.error(), builder.options());
+  expect_same_race(builder.execute(), direct);
 }
 
 TEST(Race, SweepFacadeRaceMatchesRaceCell) {
   const sweep::PlatformConfig config{6, 1.5, 0.1, 0.05};
   const std::vector<sweep::AlgorithmSpec> arms = {sweep::algorithm("rumr"), sweep::algorithm("umr"),
                                                   sweep::algorithm("factoring")};
-  rumr::Sweep sweep;
-  sweep.platforms(std::vector<sweep::PlatformConfig>{config})
-      .errors({0.3})
-      .policies(arms)
-      .workload(200.0)
-      .race(0.05)
-      .reps(48)
-      .rep_block(8)
-      .threads(4);
+  rumr::Sweep sweep(rumr::RaceSweepOptions{
+      .errors = {0.3},
+      .race = {.delta = 0.05, .block = 8, .max_reps = 48, .threads = 4, .w_total = 200.0}});
+  sweep.platforms() = sweep::wrap_grid({config});
+  sweep.policies() = arms;
   const std::vector<race::RaceCell> cells = sweep.execute_race();
   ASSERT_EQ(cells.size(), 1u);
 
@@ -351,34 +366,23 @@ TEST(Race, SweepFacadeRaceMatchesRaceCell) {
 }
 
 TEST(Race, SweepFacadeCatchesModeConflicts) {
-  rumr::Sweep raced_and_open;
-  raced_and_open.platforms(std::vector<sweep::PlatformConfig>{{6, 1.5, 0.1, 0.05}})
-      .loads({0.5})
-      .race(0.05);
-  const std::vector<std::string> problems = raced_and_open.validate();
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems.front().find("either open-system or raced"), std::string::npos);
+  // A raced Sweep runs only through execute_race(); its own problems are
+  // the race options', the error axis', and the line-up's.
+  rumr::Sweep raced(rumr::RaceSweepOptions{});
+  raced.platforms() = sweep::wrap_grid({{6, 1.5, 0.1, 0.05}});
+  EXPECT_TRUE(raced.validate().empty());
+  EXPECT_THROW((void)raced.execute(), std::invalid_argument);
+  EXPECT_THROW((void)raced.execute_jobs(), std::invalid_argument);
 
-  rumr::Sweep closed_with_race_sink;
-  closed_with_race_sink.platforms(std::vector<sweep::PlatformConfig>{{6, 1.5, 0.1, 0.05}})
-      .on_cell(race::RaceConsumer([](const race::RaceCell&) {}));
-  bool flagged = false;
-  for (const std::string& p : closed_with_race_sink.validate()) {
-    flagged = flagged || p.find("race on_cell consumer") != std::string::npos;
-  }
-  EXPECT_TRUE(flagged);
-
-  rumr::Sweep raced_with_closed_sink;
-  raced_with_closed_sink.platforms(std::vector<sweep::PlatformConfig>{{6, 1.5, 0.1, 0.05}})
-      .race(0.05)
-      .on_cell(sweep::CellConsumer([](const sweep::SweepCell&) {}));
-  flagged = false;
-  for (const std::string& p : raced_with_closed_sink.validate()) {
-    flagged = flagged || p.find("closed-system on_cell consumer") != std::string::npos;
-  }
-  EXPECT_TRUE(flagged);
-
-  EXPECT_THROW((void)raced_with_closed_sink.execute(), std::invalid_argument);
+  std::get<rumr::RaceSweepOptions>(raced.options()).race.block = 1;
+  std::get<rumr::RaceSweepOptions>(raced.options()).errors = {-0.1};
+  raced.policies(std::vector<std::string>{"no-such-policy"});
+  const std::vector<std::string> problems = raced.validate();
+  ASSERT_EQ(problems.size(), 3u);
+  EXPECT_NE(problems[0].find("block"), std::string::npos);
+  EXPECT_NE(problems[1].find("error axis"), std::string::npos);
+  EXPECT_NE(problems[2].find("no-such-policy"), std::string::npos);
+  EXPECT_THROW((void)raced.execute_race(), std::invalid_argument);
 }
 
 }  // namespace

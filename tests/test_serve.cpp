@@ -523,9 +523,9 @@ TEST(ServeFacade, ValidateNamesEveryProblem) {
   EXPECT_TRUE(rumr::Serve().validate().empty());
 
   rumr::Serve bad;
-  bad.cache_shards(0)
-      .queue_capacity(0)
-      .admission(jobs::AdmissionPolicy::kShedOldest);
+  bad.options().cache_shards = 0;
+  bad.options().queue_capacity = 0;
+  bad.options().admission = jobs::AdmissionPolicy::kShedOldest;
   const std::vector<std::string> problems = bad.validate();
   EXPECT_EQ(problems.size(), 2u);
   EXPECT_THROW((void)bad.make_server(), std::invalid_argument);
@@ -537,7 +537,7 @@ TEST(ServeFacade, RunPumpsASessionAndAuditsTheLedger) {
   write_frame(in, batch_json(1, {query_json(5)}));
 
   std::stringstream out;
-  const obs::ServeStats stats = rumr::Serve().threads(2).run(in, out);
+  const obs::ServeStats stats = rumr::Serve(ServerOptions{.threads = 2}).run(in, out);
   EXPECT_EQ(stats.received, 2u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.plan_cache.hits, 1u);

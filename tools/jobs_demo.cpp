@@ -59,14 +59,14 @@ int main() {
     base.sim.faults = faults::FaultSpec::transient(kMtbf, kMtbf / 10.0);
 
     try {
-      const std::vector<sweep::JobsSweepCell> cells =
-          Sweep()
-              .platforms(std::vector<sweep::PlatformConfig>{config})
-              .jobs(base)
-              .loads(loads)
-              .reps(1)
-              .seed(0x10B5ULL + static_cast<std::uint64_t>(policy))
-              .execute_jobs();
+      sweep::JobsSweepOptions options;
+      options.loads = loads;
+      options.repetitions = 1;
+      options.base_seed = 0x10B5ULL + static_cast<std::uint64_t>(policy);
+      options.base = base;
+      Sweep study(options);
+      study.platforms() = sweep::wrap_grid({config});
+      const std::vector<sweep::JobsSweepCell> cells = study.execute_jobs();
       for (const sweep::JobsSweepCell& cell : cells) {
         if (cell.stats.completed != cell.stats.admitted) {
           std::cerr << "STRANDED JOBS (" << to_string(policy) << ", load=" << cell.load

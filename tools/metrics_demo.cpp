@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <exception>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/rumr.hpp"
@@ -28,6 +29,20 @@ struct Scenario {
   Run run;
 };
 
+/// A run of `algorithm` over 1000 workload units on `cluster`, told
+/// `known_error`, with the engine options `sim_options`.
+Run make_run(const platform::StarPlatform& cluster, const char* algorithm, double known_error,
+             sim::SimOptions sim_options) {
+  Run run;
+  config::RunDescription& description = run.description();
+  description.platform = cluster;
+  description.w_total = 1000.0;
+  description.algorithm = algorithm;
+  description.known_error = known_error;
+  description.sim_options = std::move(sim_options);
+  return run;
+}
+
 std::vector<Scenario> make_scenarios() {
   platform::HomogeneousParams params;
   params.workers = 10;
@@ -36,50 +51,43 @@ std::vector<Scenario> make_scenarios() {
   params.comp_latency = 0.2;
   params.comm_latency = 0.1;
   const platform::StarPlatform cluster = platform::StarPlatform::homogeneous(params);
-  const double workload = 1000.0;
 
   std::vector<Scenario> scenarios;
 
-  scenarios.push_back(
-      {"UMR, perfect predictions",
-       Run().platform(cluster).workload(workload).algorithm("umr-eager").seed(11)});
+  sim::SimOptions perfect;
+  perfect.seed = 11;
+  scenarios.push_back({"UMR, perfect predictions", make_run(cluster, "umr-eager", 0.0, perfect)});
 
   scenarios.push_back({"RUMR, 30% prediction error",
-                       Run()
-                           .platform(cluster)
-                           .workload(workload)
-                           .algorithm("rumr")
-                           .known_error(0.3)
-                           .error(0.3)
-                           .seed(12)});
+                       make_run(cluster, "rumr", 0.3, sim::SimOptions::with_error(0.3, 12))});
 
   {
     // Timetable-driven UMR under heavy error with the classic single-slot
     // front end: the recipe for head-of-line blocking.
-    Run run = Run().platform(cluster).workload(workload).algorithm("umr").error(0.5).seed(13);
-    run.description().sim_options.worker_buffer_capacity = 1;
-    scenarios.push_back({"UMR timetable, 50% error (HOL-blocking prone)", std::move(run)});
+    sim::SimOptions options = sim::SimOptions::with_error(0.5, 13);
+    options.worker_buffer_capacity = 1;
+    scenarios.push_back(
+        {"UMR timetable, 50% error (HOL-blocking prone)", make_run(cluster, "umr", 0.0, options)});
   }
 
   {
-    Run run =
-        Run().platform(cluster).workload(workload).algorithm("factoring").error(0.3).seed(14);
-    run.description().sim_options.uplink_channels = 2;
-    scenarios.push_back({"Factoring, two uplink channels", std::move(run)});
+    sim::SimOptions options = sim::SimOptions::with_error(0.3, 14);
+    options.uplink_channels = 2;
+    scenarios.push_back(
+        {"Factoring, two uplink channels", make_run(cluster, "factoring", 0.0, options)});
   }
 
   {
-    Run run = Run().platform(cluster).workload(workload).algorithm("rumr").known_error(0.2)
-                  .error(0.2).seed(15);
-    run.description().sim_options.output_ratio = 0.1;
-    scenarios.push_back({"RUMR with 10% output data", std::move(run)});
+    sim::SimOptions options = sim::SimOptions::with_error(0.2, 15);
+    options.output_ratio = 0.1;
+    scenarios.push_back({"RUMR with 10% output data", make_run(cluster, "rumr", 0.2, options)});
   }
 
   {
-    Run run = Run().platform(cluster).workload(workload).algorithm("rumr").known_error(0.1)
-                  .error(0.1).seed(16);
-    run.description().sim_options.faults = faults::FaultSpec::transient(400.0, 40.0);
-    scenarios.push_back({"RUMR under transient faults (MTBF 400s)", std::move(run)});
+    sim::SimOptions options = sim::SimOptions::with_error(0.1, 16);
+    options.faults = faults::FaultSpec::transient(400.0, 40.0);
+    scenarios.push_back(
+        {"RUMR under transient faults (MTBF 400s)", make_run(cluster, "rumr", 0.1, options)});
   }
 
   return scenarios;

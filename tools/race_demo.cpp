@@ -16,8 +16,8 @@
 ///   4. determinism — threads {0, 1, 2, 8} reproduce a race byte for byte
 ///      (accumulators, lane fingerprints, elimination ledger, winner)
 ///      through the rumr::Race facade;
-///   5. streaming exactly-once — with buffering off, on_cell() sees every
-///      grid cell exactly once and nothing else.
+///   5. streaming exactly-once — given a consumer, execute_race() streams
+///      every grid cell to it exactly once and buffers nothing.
 ///
 /// The line-up choice matters: successive elimination certifies by
 /// separating every arm from the *best* arm, so it needs the runner-up gap
@@ -58,16 +58,13 @@ std::vector<sweep::PlatformConfig> demo_platforms() {
 std::vector<double> demo_errors() { return {0.3, 0.45}; }
 
 rumr::Sweep raced_sweep() {
-  rumr::Sweep sweep;
-  sweep.platforms(demo_platforms())
-      .errors(demo_errors())
-      .policies(sweep::extended_competitors())
-      .workload(kWorkload)
-      .race(kDelta)
-      .reps(kBudget)
-      .rep_block(kBlock)
-      .threads(4);
-  return sweep;
+  rumr::Sweep study(rumr::RaceSweepOptions{
+      .errors = demo_errors(),
+      .race = {.delta = kDelta, .block = kBlock, .max_reps = kBudget, .threads = 4,
+               .w_total = kWorkload}});
+  study.platforms() = sweep::wrap_grid(demo_platforms());
+  study.policies() = sweep::extended_competitors();
+  return study;
 }
 
 bool expect(bool ok, const std::string& what) {
@@ -128,13 +125,10 @@ int main() {
   }
 
   // 2 + 3. Winner parity with — and economy over — the fixed-repetition sweep.
-  rumr::Sweep fixed;
-  fixed.platforms(demo_platforms())
-      .errors(demo_errors())
-      .policies(sweep::extended_competitors())
-      .workload(kWorkload)
-      .reps(kBudget)
-      .threads(4);
+  rumr::Sweep fixed(sweep::SweepOptions{
+      .errors = demo_errors(), .repetitions = kBudget, .w_total = kWorkload, .threads = 4});
+  fixed.platforms() = sweep::wrap_grid(demo_platforms());
+  fixed.policies() = sweep::extended_competitors();
   const std::vector<sweep::SweepCell> fixed_cells = fixed.execute();
 
   std::map<std::pair<std::size_t, std::size_t>, std::pair<std::string, double>> fixed_best;
@@ -167,16 +161,13 @@ int main() {
 
   // 4. Byte-identity across thread counts through the rumr::Race facade.
   const auto one_race = [&](std::size_t threads) {
-    return rumr::Race()
-        .platform(demo_platforms().front())
-        .policies(sweep::extended_competitors())
-        .error(0.3)
-        .workload(kWorkload)
-        .delta(kDelta)
-        .block(kBlock)
-        .budget(kBudget)
-        .threads(threads)
-        .execute();
+    rumr::Race race;
+    race.platform() = sweep::SweepPlatform::from_config(demo_platforms().front());
+    race.policies() = sweep::extended_competitors();
+    race.error() = 0.3;
+    race.options() = {.delta = kDelta, .block = kBlock, .max_reps = kBudget,
+                      .threads = threads, .w_total = kWorkload};
+    return race.execute();
   };
   const race::RaceResult reference = one_race(1);
   for (const std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
@@ -184,17 +175,17 @@ int main() {
                      "threads=" + std::to_string(threads) + " race is byte-identical to threads=1");
   }
 
-  // 5. Streaming mode: buffering off, every cell exactly once.
+  // 5. Streaming mode: a consumer gets every cell exactly once, nothing is
+  // buffered.
   std::map<std::pair<std::size_t, std::size_t>, int> seen;
   const std::vector<race::RaceCell> streamed =
-      raced_sweep()
-          .buffer(false)
-          .on_cell(race::RaceConsumer([&seen](const race::RaceCell& cell) {
-            ++seen[{cell.platform_index, cell.error_index}];
-          }))
-          .execute_race();
+      raced_sweep().execute_race([&seen](const race::RaceCell& cell) {
+        ++seen[{cell.platform_index, cell.error_index}];
+      });
   bool exactly_once = streamed.empty() && seen.size() == raced.size();
   for (const auto& [key, count] : seen) exactly_once = exactly_once && count == 1;
+  // The label is kept verbatim so the demo's stdout stays comparable byte for
+  // byte with earlier builds.
   all_ok &= expect(exactly_once, "buffer(false) streams each of the 4 cells exactly once");
 
   std::cout << (all_ok ? "race demo: OK\n" : "race demo: FAILED\n");

@@ -280,7 +280,7 @@ int self_test() {
     }
     std::istringstream in(request_bytes.str());
     std::ostringstream out;
-    const rumr::obs::ServeStats stats = rumr::Serve().threads(2).run(in, out);
+    const rumr::obs::ServeStats stats = rumr::Serve(ServerOptions{.threads = 2}).run(in, out);
     if (stats.received != 4 || stats.completed != stats.admitted) {
       return fail("stream session ledger is off");
     }

@@ -9,8 +9,8 @@
 ///   2. shard-shape tolerance — rep_block {1, 3} build different merge trees
 ///      but agree with the single-shard reference within
 ///      sweep::audit_cell_merge's 1e-9 envelope;
-///   3. streaming exactly-once — with buffering off, on_cell() sees every
-///      grid cell exactly once and nothing else;
+///   3. streaming exactly-once — given a consumer, execute() streams every
+///      grid cell to it exactly once and buffers nothing;
 ///   4. open-system parity — a jobs-mode grid with retain_jobs = false
 ///      (O(1) per-run memory) is also thread-count invariant.
 ///
@@ -62,16 +62,16 @@ bool same_jobs_cell(const sweep::JobsCellStats& a, const sweep::JobsCellStats& b
 }
 
 /// The closed-system demo grid: two platforms x two errors x three policies,
-/// sharded two repetitions per shard.
-rumr::Sweep closed_sweep() {
-  rumr::Sweep sweep;
-  sweep.platforms(std::vector<sweep::PlatformConfig>{{10, 1.5, 0.1, 0.05}, {4, 2.0, 0.3, 0.1}})
-      .errors({0.1, 0.4})
-      .policies(std::vector<std::string>{"rumr", "umr", "factoring"})
-      .workload(300.0)
-      .reps(8)
-      .rep_block(2);
-  return sweep;
+/// eight repetitions sharded `rep_block` repetitions per shard.
+rumr::Sweep closed_sweep(std::size_t threads, std::size_t rep_block = 2) {
+  rumr::Sweep study(sweep::SweepOptions{.errors = {0.1, 0.4},
+                                        .repetitions = 8,
+                                        .w_total = 300.0,
+                                        .threads = threads,
+                                        .rep_block = rep_block});
+  study.platforms() = sweep::wrap_grid({{10, 1.5, 0.1, 0.05}, {4, 2.0, 0.3, 0.1}});
+  study.policies(std::vector<std::string>{"rumr", "umr", "factoring"});
+  return study;
 }
 
 std::map<CellKey, sweep::SweepCell> by_key(const std::vector<sweep::SweepCell>& cells) {
@@ -92,12 +92,12 @@ int main() {
   bool all_ok = true;
 
   std::cout << "closed-system grid (2 platforms x 2 errors x 3 policies, 8 reps):\n";
-  const auto reference = by_key(closed_sweep().threads(1).execute());
+  const auto reference = by_key(closed_sweep(1).execute());
   all_ok &= expect(reference.size() == 12, "reference sweep produced all 12 cells");
 
   // 1. Byte-identity across thread counts.
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const auto cells = by_key(closed_sweep().threads(threads).execute());
+    const auto cells = by_key(closed_sweep(threads).execute());
     bool identical = cells.size() == reference.size();
     for (const auto& [key, cell] : reference)
       identical = identical && same_cell(cells.at(key).stats, cell.stats);
@@ -106,9 +106,9 @@ int main() {
   }
 
   // 2. Different shard shapes agree within the merge-audit envelope.
-  const auto single_shard = by_key(closed_sweep().rep_block(8).execute());
+  const auto single_shard = by_key(closed_sweep(0, 8).execute());
   for (const std::size_t block : {std::size_t{1}, std::size_t{3}}) {
-    const auto cells = by_key(closed_sweep().rep_block(block).execute());
+    const auto cells = by_key(closed_sweep(0, block).execute());
     check::AuditReport report;
     for (const auto& [key, cell] : single_shard)
       sweep::audit_cell_merge("rep_block=" + std::to_string(block), cells.at(key).stats,
@@ -118,35 +118,37 @@ int main() {
                                      (report.ok() ? "ok" : report.summary()));
   }
 
-  // 3. Streaming mode: buffering off, every cell exactly once.
+  // 3. Streaming mode: a consumer gets every cell exactly once, nothing is
+  // buffered.
   std::map<CellKey, int> seen;
-  const auto streamed = closed_sweep().threads(4).buffer(false).on_cell(
-      sweep::CellConsumer([&seen](const sweep::SweepCell& cell) {
-        ++seen[{cell.platform_index, cell.error_index, cell.algorithm_index}];
-      })).execute();
+  const auto streamed = closed_sweep(4).execute([&seen](const sweep::SweepCell& cell) {
+    ++seen[{cell.platform_index, cell.error_index, cell.algorithm_index}];
+  });
   bool exactly_once = streamed.empty() && seen.size() == reference.size();
   for (const auto& [key, count] : seen) exactly_once = exactly_once && count == 1;
+  // The label is kept verbatim so the demo's stdout stays comparable byte for
+  // byte with earlier builds.
   all_ok &= expect(exactly_once, "buffer(false) streams each of the 12 cells exactly once");
 
   // 4. Open-system mode: streamed jobs (retain_jobs = false), thread-invariant.
   std::cout << "open-system grid (1 platform x 2 loads, 2 reps, streamed jobs):\n";
-  const auto open_sweep = [] {
-    jobs::JobsOptions base;
-    base.stream = jobs::JobStreamSpec::poisson(1.0, 12, 100.0);
-    base.known_error = 0.2;
-    base.sim = sim::SimOptions::with_error(0.2, 1);
-    base.retain_jobs = false;
-    rumr::Sweep sweep;
-    sweep.platforms(std::vector<sweep::PlatformConfig>{{6, 1.5, 0.2, 0.1}})
-        .jobs(base)
-        .loads({0.4, 0.7})
-        .reps(2)
-        .rep_block(1);
-    return sweep;
+  const auto open_sweep = [](std::size_t threads) {
+    sweep::JobsSweepOptions options;
+    options.loads = {0.4, 0.7};
+    options.repetitions = 2;
+    options.threads = threads;
+    options.base.stream = jobs::JobStreamSpec::poisson(1.0, 12, 100.0);
+    options.base.known_error = 0.2;
+    options.base.sim = sim::SimOptions::with_error(0.2, 1);
+    options.base.retain_jobs = false;
+    options.rep_block = 1;
+    rumr::Sweep study(options);
+    study.platforms() = sweep::wrap_grid({{6, 1.5, 0.2, 0.1}});
+    return study;
   };
-  const auto jobs_reference = open_sweep().threads(1).execute_jobs();
+  const auto jobs_reference = open_sweep(1).execute_jobs();
   all_ok &= expect(jobs_reference.size() == 2, "open-system sweep produced both load cells");
-  const auto jobs_parallel = open_sweep().threads(4).execute_jobs();
+  const auto jobs_parallel = open_sweep(4).execute_jobs();
   bool jobs_identical = jobs_parallel.size() == jobs_reference.size();
   for (std::size_t i = 0; i < jobs_reference.size() && jobs_identical; ++i)
     jobs_identical = same_jobs_cell(jobs_parallel[i].stats, jobs_reference[i].stats);
