@@ -47,8 +47,9 @@ ScheduleQuality analyze_run(const platform::StarPlatform& platform,
                             const sim::SimResult& result, double w_total) {
   ScheduleQuality quality;
   quality.makespan = result.makespan;
-  quality.worker_efficiency = result.mean_worker_utilization();
-  quality.uplink_duty = result.makespan > 0.0 ? result.uplink_busy_time / result.makespan : 0.0;
+  quality.worker_efficiency = result.metrics.engine.mean_worker_utilization;
+  quality.uplink_duty =
+      result.makespan > 0.0 ? result.metrics.engine.uplink_transfer_time / result.makespan : 0.0;
   const double bound = makespan_lower_bounds(platform, w_total).combined();
   quality.optimality_gap = bound > 0.0 ? result.makespan / bound : 0.0;
 

@@ -8,6 +8,8 @@
 #include <tuple>
 #include <utility>
 
+#include "util/problems.hpp"
+
 namespace rumr {
 
 namespace {
@@ -49,10 +51,7 @@ void append(std::vector<std::string>& problems, std::vector<std::string> more) {
 }
 
 void throw_if_invalid(const char* what, const std::vector<std::string>& problems) {
-  if (problems.empty()) return;
-  std::string joined = what;
-  for (const std::string& p : problems) joined += "\n  - " + p;
-  throw std::invalid_argument(joined);
+  if (!problems.empty()) throw std::invalid_argument(util::join_problems(what, problems));
 }
 
 /// Flags shard shapes the sharded engines would run badly: a shard larger
@@ -119,10 +118,8 @@ RunResult Run::execute_one(std::uint64_t rep_seed, bool trace) const {
   out.makespan = out.sim.makespan;
   out.metrics = out.sim.metrics;
 
-  check::TraceAuditOptions audit_options;
-  audit_options.work_tolerance = options.work_tolerance;
-  audit_options.uplink_channels = options.uplink_channels;
-  check::audit_sim_result(out.sim, desc_.platform, desc_.w_total, audit_options)
+  check::audit_sim_result(out.sim, desc_.platform, desc_.w_total,
+                          check::audit_options_for(options))
       .throw_if_failed();
 
   out.trace = std::move(out.sim.trace);

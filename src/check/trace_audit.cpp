@@ -158,15 +158,10 @@ void audit_metrics(AuditReport& report, const sim::SimResult& result,
   // work-conservation tolerance.
   const double tol = std::max(options.time_tolerance, 1e-12);
 
-  check_time_identity(report, "metrics.makespan vs result.makespan", m.makespan, result.makespan,
-                      tol);
-
   // The DES kernel conserves events: every scheduled event was either
   // executed or cancelled by the time the queue drained.
   check_count(report, "des events (executed + cancelled) vs scheduled",
               m.des.events_executed + m.des.events_cancelled, m.des.events_scheduled);
-  check_count(report, "des events_executed vs result.events", m.des.events_executed,
-              result.events);
 
   // Uplink occupancy tiles the run: busy (>= 1 channel held) + idle == makespan.
   check_time_identity(report, "uplink busy + idle vs makespan",
@@ -180,15 +175,6 @@ void audit_metrics(AuditReport& report, const sim::SimResult& result,
                         m.engine.uplink_transfer_time + m.engine.hol_blocking_time, tol);
   }
 
-  // Engine counters vs the legacy result fields (same events, two ledgers).
-  check_count(report, "engine.dispatches vs chunks_dispatched", m.engine.dispatches,
-              result.chunks_dispatched);
-  check_time_identity(report, "engine.work_dispatched vs result.work_dispatched",
-                      m.engine.work_dispatched, result.work_dispatched, tol);
-  check_time_identity(report, "engine.uplink_transfer_time vs result.uplink_busy_time",
-                      m.engine.uplink_transfer_time, result.uplink_busy_time, tol);
-  check_time_identity(report, "engine.downlink_busy_time vs result.downlink_busy_time",
-                      m.engine.downlink_busy_time, result.downlink_busy_time, tol);
   check_count(report, "chunk_sizes histogram total vs dispatches",
               static_cast<std::size_t>(m.engine.chunk_sizes.total()), m.engine.dispatches);
   check_count(report, "compute_durations histogram total vs completions",
@@ -221,28 +207,6 @@ void audit_metrics(AuditReport& report, const sim::SimResult& result,
   check_count(report, "sum of worker completions vs engine.completions", span_completions,
               m.engine.completions);
 
-  // Fault ledger: the metrics record and the legacy FaultSummary are two
-  // views of the same counters.
-  const sim::FaultSummary& faults = result.faults;
-  check_count(report, "faults.failures", m.faults.failures, faults.failures);
-  check_count(report, "faults.recoveries", m.faults.recoveries, faults.recoveries);
-  check_count(report, "faults.fencings vs suspicions", m.faults.fencings, faults.suspicions);
-  check_count(report, "faults.rejoins", m.faults.rejoins, faults.rejoins);
-  check_count(report, "faults.chunks_lost", m.faults.chunks_lost, faults.chunks_lost);
-  check_count(report, "faults.chunks_redispatched", m.faults.chunks_redispatched,
-              faults.chunks_redispatched);
-  check_count(report, "faults.messages_lost", m.faults.messages_lost, faults.messages_lost);
-  check_count(report, "faults.latency_spikes", m.faults.latency_spikes, faults.latency_spikes);
-  check_count(report, "faults.degraded_sends", m.faults.degraded_sends, faults.degraded_sends);
-  check_count(report, "faults.retransmits", m.faults.retransmits, faults.retransmits);
-  check_time_identity(report, "faults.work_retransmitted", m.faults.work_retransmitted,
-                      faults.work_retransmitted, tol);
-  check_count(report, "faults.duplicates_suppressed", m.faults.duplicates_suppressed,
-              faults.duplicates_suppressed);
-  check_count(report, "faults.checkpoints_banked", m.faults.checkpoints_banked,
-              faults.checkpoints_banked);
-  check_time_identity(report, "faults.work_banked", m.faults.work_banked, faults.work_banked,
-                      tol);
   // A duplicate delivery requires at least one extra send of the same lease,
   // so suppressions can never outnumber protocol re-sends.
   if (m.faults.duplicates_suppressed > m.faults.retransmits) {
@@ -261,6 +225,13 @@ void audit_metrics(AuditReport& report, const sim::SimResult& result,
 
 }  // namespace
 
+TraceAuditOptions audit_options_for(const sim::SimOptions& options) {
+  TraceAuditOptions audit;
+  audit.work_tolerance = options.work_tolerance;
+  audit.uplink_channels = options.uplink_channels;
+  return audit;
+}
+
 AuditReport audit_sim_result(const sim::SimResult& result, const platform::StarPlatform& platform,
                              double w_total, const TraceAuditOptions& options) {
   AuditReport report;
@@ -276,9 +247,11 @@ AuditReport audit_sim_result(const sim::SimResult& result, const platform::StarP
   // Aggregate work conservation: everything dispatched, everything computed.
   // Re-dispatched work appears in work_dispatched once per send; conservation
   // holds for the net amount (gross minus re-sends).
-  const sim::FaultSummary& faults = result.faults;
-  check_sum(report, "bytes dispatched (net of re-dispatch)",
-            result.work_dispatched - faults.work_redispatched, w_total, options.work_tolerance);
+  const obs::EngineStats& engine = result.metrics.engine;
+  const obs::FaultStats& faults = result.metrics.faults;
+  const double net_dispatched = engine.work_dispatched - engine.work_redispatched;
+  check_sum(report, "bytes dispatched (net of re-dispatch)", net_dispatched, w_total,
+            options.work_tolerance);
   double computed = 0.0;
   std::size_t chunks = 0;
   for (const sim::WorkerOutcome& w : result.workers) {
@@ -290,9 +263,9 @@ AuditReport audit_sim_result(const sim::SimResult& result, const platform::StarP
   // only the remainder was re-dispatched. computed + banked covers the total.
   check_sum(report, "bytes computed + banked", computed + faults.work_banked, w_total,
             options.work_tolerance);
-  if (chunks + faults.chunks_lost != result.chunks_dispatched) {
+  if (chunks + faults.chunks_lost != engine.dispatches) {
     std::ostringstream out;
-    out << "chunk conservation: " << result.chunks_dispatched << " dispatched but " << chunks
+    out << "chunk conservation: " << engine.dispatches << " dispatched but " << chunks
         << " computed and " << faults.chunks_lost << " lost";
     report.violations.push_back(out.str());
   }
@@ -305,14 +278,14 @@ AuditReport audit_sim_result(const sim::SimResult& result, const platform::StarP
         << faults.chunks_redispatched << " re-dispatched";
     report.violations.push_back(out.str());
   }
-  check_sum(report, "bytes re-dispatched", faults.work_redispatched, faults.work_lost,
+  check_sum(report, "bytes re-dispatched", engine.work_redispatched, faults.work_lost,
             options.work_tolerance);
   // Banking conservation, at the engine-identity tolerance (1e-9, far tighter
   // than the policy-facing work tolerance): every net-dispatched unit was
   // either computed to completion or banked at an abort. The two sides
   // telescope exactly — any drift here is engine bookkeeping, not noise.
   check_sum(report, "bytes computed + banked vs net dispatched", computed + faults.work_banked,
-            result.work_dispatched - faults.work_redispatched, 1e-9);
+            net_dispatched, 1e-9);
 
   // Per-worker timing sanity against the makespan.
   for (std::size_t i = 0; i < result.workers.size(); ++i) {

@@ -18,15 +18,18 @@
 ///     reclaimed from a fenced worker was re-dispatched exactly once;
 ///   - under partial-work checkpointing: banked + computed work reproduces
 ///     the workload total (banked fractions are final, never recomputed);
-///   - observability identities: uplink busy + idle time tiles the makespan,
-///     each worker's {compute, aborted, idle, down} spans partition
-///     [0, makespan], the DES kernel conserved events (scheduled == executed
-///     + cancelled), and the metrics record agrees with the legacy result
-///     counters everywhere they overlap.
+///   - observability identities between independently accumulated counts:
+///     uplink busy + idle time tiles the makespan (and, with one channel,
+///     busy == transfer + head-of-line blocking), each worker's {compute,
+///     aborted, idle, down} spans partition [0, makespan] and agree with its
+///     WorkerOutcome, the DES kernel conserved events (scheduled == executed
+///     + cancelled), and the histogram totals match the dispatch and
+///     completion counts.
 ///
+/// The conservation checks read the run's one ledger, SimResult::metrics.
 /// The span-level checks only run when the result carries a trace
-/// (SimOptions::record_trace); the metrics checks only when it carries a
-/// populated RunMetrics (a hand-assembled SimResult does not); the aggregate
+/// (SimOptions::record_trace); the metrics identities only when it carries
+/// per-worker spans (a hand-assembled SimResult has none); the aggregate
 /// checks always run.
 
 #include <cstddef>
@@ -47,6 +50,10 @@ struct TraceAuditOptions {
   /// spans is only a violation when this is 1.
   std::size_t uplink_channels = 1;
 };
+
+/// The audit options matching the options a run was simulated with: its work
+/// tolerance and its uplink channel count.
+[[nodiscard]] TraceAuditOptions audit_options_for(const sim::SimOptions& options);
 
 /// Audits one finished run against the workload total it was meant to
 /// process. Returns the collected violations; empty means the run conserved

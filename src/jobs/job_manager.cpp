@@ -14,6 +14,7 @@
 #include "config/policy_registry.hpp"
 #include "config/run_description.hpp"
 #include "stats/rng.hpp"
+#include "util/problems.hpp"
 
 namespace rumr::jobs {
 
@@ -484,9 +485,7 @@ class JobManager {
 ServiceResult run_jobs(const platform::StarPlatform& platform, const JobsOptions& options) {
   const std::vector<std::string> problems = options.validate(platform.size());
   if (!problems.empty()) {
-    std::string joined = "invalid jobs options:";
-    for (const std::string& p : problems) joined += "\n  - " + p;
-    throw std::invalid_argument(joined);
+    throw std::invalid_argument(util::join_problems("invalid jobs options:", problems));
   }
   JobManager manager(platform, options);
   return manager.run();

@@ -133,10 +133,9 @@ class WallClockRule final : public RuleBase {
   WallClockRule() noexcept
       : RuleBase("wall-clock",
                  "Simulated time is the only clock the engine may consult: wall "
-                 "time leaks host speed into results and differs every run. The "
-                 "sole sanctioned use is observability throughput metrics (e.g. "
-                 "events/sec in sim/master_worker.cpp), which must carry an "
-                 "explicit suppression. bench/ is out of scope by design — "
+                 "time leaks host speed into results and differs every run, so "
+                 "nothing src/ or tools/ computes or prints may read it (the "
+                 "metrics record included). bench/ is out of scope by design — "
                  "benchmarks measure wall time on purpose.") {}
 
   [[nodiscard]] bool applies_to(std::string_view rel_path) const noexcept override {

@@ -111,12 +111,7 @@ std::string to_json(const RunMetrics& m) {
       << "\"events_scheduled\":" << m.des.events_scheduled
       << ",\"events_executed\":" << m.des.events_executed
       << ",\"events_cancelled\":" << m.des.events_cancelled
-      << ",\"queue_depth_high_water\":" << m.des.queue_depth_high_water
-      << ",\"wall_seconds\":";
-  json_number(out, m.des.wall_seconds);
-  out << ",\"events_per_second\":";
-  json_number(out, m.des.events_per_second);
-  out << "}";
+      << ",\"queue_depth_high_water\":" << m.des.queue_depth_high_water << "}";
 
   out << ",\"engine\":{"
       << "\"uplink_busy_time\":";
@@ -256,8 +251,6 @@ void write_csv(std::ostream& out, const RunMetrics& m) {
   csv_row(out, "des.events_cancelled", static_cast<std::uint64_t>(m.des.events_cancelled));
   csv_row(out, "des.queue_depth_high_water",
           static_cast<std::uint64_t>(m.des.queue_depth_high_water));
-  csv_row(out, "des.wall_seconds", m.des.wall_seconds);
-  csv_row(out, "des.events_per_second", m.des.events_per_second);
   csv_row(out, "engine.uplink_busy_time", m.engine.uplink_busy_time);
   csv_row(out, "engine.uplink_idle_time", m.engine.uplink_idle_time);
   csv_row(out, "engine.uplink_utilization", m.engine.uplink_utilization);

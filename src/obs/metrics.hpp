@@ -116,10 +116,6 @@ struct DesStats {
   /// Largest number of simultaneously pending (scheduled, not yet executed or
   /// cancelled) events.
   std::size_t queue_depth_high_water = 0;
-  /// Wall-clock seconds the event loop ran (real time, not simulated).
-  double wall_seconds = 0.0;
-  /// events_executed / wall_seconds (0 when the run was too fast to time).
-  double events_per_second = 0.0;
 };
 
 /// Where one worker's time went, partitioned over [0, makespan]:
@@ -150,11 +146,11 @@ struct EngineStats {
   /// Time a blocked rendezvous send held an uplink channel while its target
   /// worker had no free buffer slot (head-of-line blocking).
   double hol_blocking_time = 0.0;
-  std::size_t dispatches = 0;
+  std::size_t dispatches = 0;   ///< Chunk sends, re-dispatches included.
   std::size_t completions = 0;
   std::size_t redispatches = 0;
-  double work_dispatched = 0.0;
-  double work_redispatched = 0.0;
+  double work_dispatched = 0.0;    ///< Workload units sent, re-dispatches included.
+  double work_redispatched = 0.0;  ///< Workload units sent again after a fence.
   /// Mean over workers of compute_time / makespan.
   double mean_worker_utilization = 0.0;
   std::vector<WorkerSpans> workers;
@@ -176,8 +172,9 @@ struct FaultStats {
   std::size_t false_suspicions = 0;  ///< Fencings of a worker that was actually up.
   std::size_t backoff_retries = 0;   ///< Rejoin attempts scheduled after a fence.
   std::size_t rejoins = 0;           ///< Fenced workers re-admitted.
-  std::size_t chunks_lost = 0;
-  std::size_t chunks_redispatched = 0;
+  std::size_t chunks_lost = 0;          ///< Dispatched chunks reclaimed from fenced workers.
+  double work_lost = 0.0;               ///< Workload units in those chunks (not exported).
+  std::size_t chunks_redispatched = 0;  ///< Reclaimed chunks sent again.
 
   // Link-fault / retransmit-protocol counters (zero when those layers are off).
   std::size_t messages_lost = 0;   ///< Payloads and ACKs dropped in the network.
@@ -192,7 +189,8 @@ struct FaultStats {
   double work_banked = 0.0;            ///< Workload units banked (never recomputed).
 };
 
-/// The full per-run metrics record carried on sim::SimResult.
+/// The full per-run metrics record carried on sim::SimResult: the one
+/// ledger of a run's counters.
 struct RunMetrics {
   double makespan = 0.0;
   DesStats des;

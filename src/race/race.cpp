@@ -14,6 +14,7 @@
 #include "sim/master_worker.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/thread_pool.hpp"
+#include "util/problems.hpp"
 
 namespace rumr::race {
 
@@ -34,12 +35,6 @@ std::vector<std::string> RaceOptions::validate() const {
 }
 
 namespace {
-
-void throw_invalid(const char* what, const std::vector<std::string>& problems) {
-  std::string joined = what;
-  for (const std::string& p : problems) joined += "\n  - " + p;
-  throw std::invalid_argument(joined);
-}
 
 /// The successive-elimination loop. Samples every active arm in synchronized
 /// blocks, folds rewards in fixed (arm, rep) order, and prunes arms whose
@@ -161,7 +156,9 @@ RaceResult run_race(const std::vector<std::string>& names, const ArmOracle& orac
   std::vector<std::string> problems = options.validate();
   if (names.empty()) problems.emplace_back("at least one arm is required");
   if (!oracle) problems.emplace_back("an arm oracle is required");
-  if (!problems.empty()) throw_invalid("invalid race request:", problems);
+  if (!problems.empty()) {
+    throw std::invalid_argument(util::join_problems("invalid race request:", problems));
+  }
 
   RaceResult result = race_core(names, oracle, options);
   if (options.audit_result) check::audit_race_result(result).throw_if_failed();
@@ -176,7 +173,9 @@ RaceResult race_cell(const sweep::SweepPlatform& platform,
   if (!std::isfinite(error) || error < 0.0) {
     problems.emplace_back("error must be non-negative and finite");
   }
-  if (!problems.empty()) throw_invalid("invalid race-cell request:", problems);
+  if (!problems.empty()) {
+    throw std::invalid_argument(util::join_problems("invalid race-cell request:", problems));
+  }
 
   std::vector<std::string> names;
   names.reserve(algorithms.size());
@@ -204,10 +203,8 @@ RaceResult race_cell(const sweep::SweepPlatform& platform,
     sim_options.seed = seed;
     const sim::SimResult sim_result = sim::simulate(platform.platform, *policy, sim_options);
     if (options.audit_runs) {
-      check::TraceAuditOptions audit_options;
-      audit_options.work_tolerance = sim_options.work_tolerance;
-      audit_options.uplink_channels = sim_options.uplink_channels;
-      check::audit_sim_result(sim_result, platform.platform, options.w_total, audit_options)
+      check::audit_sim_result(sim_result, platform.platform, options.w_total,
+                              check::audit_options_for(sim_options))
           .throw_if_failed();
     }
     return sim_result.makespan / lower_bound;
@@ -235,7 +232,9 @@ void run_race_sweep(const std::vector<sweep::SweepPlatform>& platforms,
   }
   if (algorithms.empty()) problems.emplace_back("at least one algorithm is required");
   if (!consumer) problems.emplace_back("a cell consumer is required");
-  if (!problems.empty()) throw_invalid("invalid race-sweep request:", problems);
+  if (!problems.empty()) {
+    throw std::invalid_argument(util::join_problems("invalid race-sweep request:", problems));
+  }
 
   // Cells are the parallel unit; each cell's race runs inline so its result
   // is trivially independent of the outer thread count (and identical to a

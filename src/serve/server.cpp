@@ -10,6 +10,7 @@
 #include "sim/master_worker.hpp"
 #include "sim/trace.hpp"
 #include "util/json_lite.hpp"
+#include "util/problems.hpp"
 
 namespace rumr::serve {
 namespace {
@@ -39,7 +40,7 @@ std::string serialize_plan(const sim::SimResult& result, std::uint64_t fingerpri
     plan += ']';
   }
   plan += "],\"dispatches\":";
-  plan += std::to_string(result.chunks_dispatched);
+  plan += std::to_string(result.metrics.engine.dispatches);
   plan += ",\"completions\":";
   plan += std::to_string(result.metrics.engine.completions);
   plan += ",\"events\":";
@@ -54,14 +55,6 @@ std::string serialize_plan(const sim::SimResult& result, std::uint64_t fingerpri
   return plan;
 }
 
-std::string join_problems(const std::vector<std::string>& problems) {
-  std::string joined = "invalid serve options:";
-  for (const std::string& problem : problems) {
-    joined += "\n  - ";
-    joined += problem;
-  }
-  return joined;
-}
 
 }  // namespace
 
@@ -81,7 +74,9 @@ Server::Server(const ServerOptions& options)
                               options.cache_shards == 0 ? 1 : options.cache_shards}),
       pool_(options.threads) {
   const std::vector<std::string> problems = options.validate();
-  if (!problems.empty()) throw std::invalid_argument(join_problems(problems));
+  if (!problems.empty()) {
+    throw std::invalid_argument(util::join_problems("invalid serve options:", problems));
+  }
 }
 
 Server::~Server() { wait_idle(); }
@@ -279,10 +274,8 @@ std::string Server::solve_query(const Query& query, std::uint64_t fingerprint) {
   sim_options.worker_buffer_capacity = query.worker_buffer_capacity;
   const sim::SimResult result = sim::simulate(platform, *policy, sim_options);
   if (options_.audit) {
-    check::TraceAuditOptions audit_options;
-    audit_options.work_tolerance = sim_options.work_tolerance;
-    audit_options.uplink_channels = sim_options.uplink_channels;
-    check::audit_sim_result(result, platform, query.workload, audit_options).throw_if_failed();
+    check::audit_sim_result(result, platform, query.workload, check::audit_options_for(sim_options))
+        .throw_if_failed();
   }
   return serialize_plan(result, fingerprint);
 }

@@ -1,7 +1,6 @@
 #include "sim/master_worker.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -10,18 +9,12 @@
 
 #include "check/check.hpp"
 #include "util/flat_fifo.hpp"
+#include "util/problems.hpp"
 #include "des/simulator.hpp"
 #include "obs/probe.hpp"
 #include "stats/rng.hpp"
 
 namespace rumr::sim {
-
-double SimResult::mean_worker_utilization() const {
-  if (workers.empty() || makespan <= 0.0) return 0.0;
-  double total = 0.0;
-  for (const WorkerOutcome& w : workers) total += w.busy_time / makespan;
-  return total / static_cast<double>(workers.size());
-}
 
 std::vector<std::string> SimOptions::validate() const {
   std::vector<std::string> errors;
@@ -152,7 +145,7 @@ struct SmoothedEstimator {
 
 /// A reclaimed chunk awaiting re-dispatch. `was_dispatched` is false for a
 /// chunk reclaimed from a blocked (never-sent) rendezvous send: it has not
-/// been counted in work_dispatched_ yet, so sending it is a first dispatch,
+/// been counted in work_dispatched yet, so sending it is a first dispatch,
 /// not a re-dispatch.
 struct RedispatchItem {
   double chunk = 0.0;
@@ -189,13 +182,9 @@ class Engine final : public MasterContext {
         suspicions_(platform.size(), 0),
         lease_epoch_(platform.size(), 0),
         dispatch_records_(platform.size()),
-        probe_(platform.size()),
-        chunk_hist_(obs::Histogram::exponential(kChunkHistFirstEdge, 2.0, kHistBuckets)),
-        comp_hist_(obs::Histogram::exponential(kCompHistFirstEdge, 2.0, kHistBuckets)) {
+        probe_(platform.size()) {
     if (const std::vector<std::string> errors = options.validate(); !errors.empty()) {
-      std::string joined = "invalid SimOptions:";
-      for (const std::string& e : errors) joined += "\n  - " + e;
-      throw SimError(joined);
+      throw SimError(util::join_problems("invalid SimOptions:", errors));
     }
     // No observer is attached: the kernel maintains every metric we report
     // (schedule/execute/cancel counts, queue-depth high-water) natively, so
@@ -223,8 +212,13 @@ class Engine final : public MasterContext {
       rtt_.resize(platform.size());
       ratio_.resize(platform.size());
     }
-    timeout_hist_ = obs::Histogram::exponential(kTimeoutHistFirstEdge, 2.0, kTimeoutHistBuckets);
-    rto_hist_ = obs::Histogram::exponential(kTimeoutHistFirstEdge, 2.0, kTimeoutHistBuckets);
+    engine_stats_.chunk_sizes = obs::Histogram::exponential(kChunkHistFirstEdge, 2.0, kHistBuckets);
+    engine_stats_.compute_durations =
+        obs::Histogram::exponential(kCompHistFirstEdge, 2.0, kHistBuckets);
+    engine_stats_.timeout_windows =
+        obs::Histogram::exponential(kTimeoutHistFirstEdge, 2.0, kTimeoutHistBuckets);
+    engine_stats_.rto_values =
+        obs::Histogram::exponential(kTimeoutHistFirstEdge, 2.0, kTimeoutHistBuckets);
   }
 
   // MasterContext -----------------------------------------------------------
@@ -239,8 +233,6 @@ class Engine final : public MasterContext {
   }
 
   SimResult run() {
-    // rumr-lint: allow(wall-clock) obs events/sec throughput metric only; never feeds simulated state
-    const auto wall_start = std::chrono::steady_clock::now();
     if (faults_on_) {
       for (std::size_t w = 0; w < platform_.size(); ++w) schedule_ground_fault(w, 0.0);
     }
@@ -257,9 +249,6 @@ class Engine final : public MasterContext {
       describe_workers(msg);
       throw SimError(msg.str());
     }
-    const double wall_seconds =
-        // rumr-lint: allow(wall-clock) closes the obs events/sec measurement opened above
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
     finalize_checks();
 
     // Close the Gantt row of workers that never recovered: their outage
@@ -275,15 +264,9 @@ class Engine final : public MasterContext {
 
     SimResult result;
     result.makespan = makespan_;
-    result.chunks_dispatched = chunks_dispatched_;
-    result.work_dispatched = work_dispatched_;
-    result.uplink_busy_time = uplink_busy_time_;
-    result.downlink_busy_time = downlink_busy_time_;
     result.events = sim_.events_processed();
     result.workers = outcomes_;
-    result.faults = fstats_;
-    result.metrics = collect_metrics(wall_seconds);
-    result.metrics.engine.mean_worker_utilization = result.mean_worker_utilization();
+    result.metrics = collect_metrics();
     result.trace = std::move(trace_);
     return result;
   }
@@ -298,10 +281,11 @@ class Engine final : public MasterContext {
     return queues_[w].size() + (retransmit_on_ ? reserved_[w] : in_flight_[w]);
   }
 
-  /// Packages the probes' accounting into the RunMetrics record. Closes the
-  /// probes at the makespan and moves the histograms out — call once, at the
-  /// end of run().
-  [[nodiscard]] obs::RunMetrics collect_metrics(double wall_seconds) {
+  /// Moves the run's ledgers into the RunMetrics record, adding what only
+  /// the end of the run knows: the kernel's counters, the probe's time
+  /// partition (closed at the makespan) and the ratios over the makespan.
+  /// Call once, at the end of run().
+  [[nodiscard]] obs::RunMetrics collect_metrics() {
     obs::RunMetrics m;
     m.makespan = makespan_;
 
@@ -309,44 +293,23 @@ class Engine final : public MasterContext {
     m.des.events_executed = sim_.events_processed();
     m.des.events_cancelled = sim_.events_cancelled();
     m.des.queue_depth_high_water = sim_.queue_depth_high_water();
-    m.des.wall_seconds = wall_seconds;
-    m.des.events_per_second =
-        wall_seconds > 0.0 ? static_cast<double>(sim_.events_processed()) / wall_seconds : 0.0;
 
+    m.engine = std::move(engine_stats_);
     m.engine.workers = probe_.finish(makespan_);
     m.engine.uplink_busy_time = probe_.uplink_busy_time();
     m.engine.uplink_idle_time = probe_.uplink_idle_time();
     m.engine.uplink_utilization =
         makespan_ > 0.0 ? probe_.uplink_busy_time() / makespan_ : 0.0;
-    m.engine.uplink_transfer_time = uplink_busy_time_;
-    m.engine.downlink_busy_time = downlink_busy_time_;
     m.engine.hol_blocking_time = probe_.hol_blocking_time();
-    m.engine.dispatches = chunks_dispatched_;
     for (const obs::WorkerSpans& ws : m.engine.workers) m.engine.completions += ws.completions;
-    m.engine.redispatches = fstats_.chunks_redispatched;
-    m.engine.work_dispatched = work_dispatched_;
-    m.engine.work_redispatched = fstats_.work_redispatched;
-    m.engine.chunk_sizes = std::move(chunk_hist_);
-    m.engine.compute_durations = std::move(comp_hist_);
-    m.engine.timeout_windows = std::move(timeout_hist_);
-    m.engine.rto_values = std::move(rto_hist_);
+    m.engine.redispatches = fault_stats_.chunks_redispatched;
+    if (!outcomes_.empty() && makespan_ > 0.0) {
+      double total = 0.0;
+      for (const WorkerOutcome& w : outcomes_) total += w.busy_time / makespan_;
+      m.engine.mean_worker_utilization = total / static_cast<double>(outcomes_.size());
+    }
 
-    m.faults.failures = fstats_.failures;
-    m.faults.recoveries = fstats_.recoveries;
-    m.faults.fencings = fstats_.suspicions;
-    m.faults.false_suspicions = false_suspicions_;
-    m.faults.backoff_retries = backoff_retries_;
-    m.faults.rejoins = fstats_.rejoins;
-    m.faults.chunks_lost = fstats_.chunks_lost;
-    m.faults.chunks_redispatched = fstats_.chunks_redispatched;
-    m.faults.messages_lost = fstats_.messages_lost;
-    m.faults.latency_spikes = fstats_.latency_spikes;
-    m.faults.degraded_sends = fstats_.degraded_sends;
-    m.faults.retransmits = fstats_.retransmits;
-    m.faults.work_retransmitted = fstats_.work_retransmitted;
-    m.faults.duplicates_suppressed = fstats_.duplicates_suppressed;
-    m.faults.checkpoints_banked = fstats_.checkpoints_banked;
-    m.faults.work_banked = fstats_.work_banked;
+    m.faults = fault_stats_;
     return m;
   }
 
@@ -376,7 +339,7 @@ class Engine final : public MasterContext {
   void ground_down(std::size_t w, const faults::Outage& o) {
     ground_alive_[w] = false;
     down_since_[w] = sim_.now();
-    ++fstats_.failures;
+    ++fault_stats_.failures;
     queues_[w].clear();
     abort_compute(w);
     probe_.worker_down(w, sim_.now());
@@ -393,7 +356,7 @@ class Engine final : public MasterContext {
   /// blacklist backoff expires.
   void ground_up(std::size_t w) {
     ground_alive_[w] = true;
-    ++fstats_.recoveries;
+    ++fault_stats_.recoveries;
     probe_.worker_up(w, sim_.now());
     if (options_.record_trace) {
       trace_.add({SpanKind::kDown, w, 0.0, down_since_[w], sim_.now()});
@@ -449,15 +412,15 @@ class Engine final : public MasterContext {
     RUMR_CHECK(rec != nullptr, "banked progress for a lease with no dispatch record");
     if (rec == nullptr) return;
     rec->chunk -= banked;
-    ++fstats_.checkpoints_banked;
-    fstats_.work_banked += banked;
+    ++fault_stats_.checkpoints_banked;
+    fault_stats_.work_banked += banked;
   }
 
   /// Schedules re-admission of a fenced worker at the end of its blacklist
   /// window. Deduplicated: at most one rejoin event per worker.
   void schedule_rejoin(std::size_t w) {
     if (rejoin_event_[w] != 0) return;
-    ++backoff_retries_;
+    ++fault_stats_.backoff_retries;
     const des::SimTime at = std::max(sim_.now(), blacklist_until_[w]);
     rejoin_event_[w] = sim_.schedule_at(at, [this, w] {
       rejoin_event_[w] = 0;
@@ -473,7 +436,7 @@ class Engine final : public MasterContext {
     WorkerStatus& st = status_[w];
     st.alive = true;
     st.predicted_ready = sim_.now();
-    ++fstats_.rejoins;
+    ++fault_stats_.rejoins;
     policy_.on_worker_up(*this, w);
     try_dispatch();
   }
@@ -498,7 +461,7 @@ class Engine final : public MasterContext {
                        ratio_[w].srtt + options_.retransmit.k * ratio_[w].rttvar);
     }
     const double window = slack * remaining;
-    timeout_hist_.add(window);
+    engine_stats_.timeout_windows.add(window);
     const des::SimTime deadline = sim_.now() + window;
     timeout_event_[w] = sim_.schedule_at(deadline, [this, w] {
       timeout_event_[w] = 0;
@@ -513,7 +476,7 @@ class Engine final : public MasterContext {
   /// blacklisted with exponential backoff before it may rejoin.
   void fence(std::size_t w) {
     WorkerStatus& st = status_[w];
-    ++fstats_.suspicions;
+    ++fault_stats_.fencings;
     ++suspicions_[w];
     st.alive = false;
     st.suspected = true;
@@ -537,8 +500,8 @@ class Engine final : public MasterContext {
         rec.retx_event = 0;
       }
       redispatch_queue_.push_back({rec.chunk, true});
-      ++fstats_.chunks_lost;
-      fstats_.work_lost += rec.chunk;
+      ++fault_stats_.chunks_lost;
+      fault_stats_.work_lost += rec.chunk;
     }
     dispatch_records_[w].clear();
     st.outstanding = 0;
@@ -568,7 +531,7 @@ class Engine final : public MasterContext {
     if (ground_alive_[w]) {
       // False positive: the worker is actually up (prediction-error artifact)
       // and can re-ping after its backoff.
-      ++false_suspicions_;
+      ++fault_stats_.false_suspicions;
       schedule_rejoin(w);
     }
     policy_.on_worker_down(*this, w);
@@ -592,8 +555,8 @@ class Engine final : public MasterContext {
       const RedispatchItem item = redispatch_queue_.front();
       redispatch_queue_.pop_front();
       if (item.was_dispatched) {
-        ++fstats_.chunks_redispatched;
-        fstats_.work_redispatched += item.chunk;
+        ++fault_stats_.chunks_redispatched;
+        engine_stats_.work_redispatched += item.chunk;
       }
       begin_send({*target, item.chunk});
     }
@@ -697,8 +660,8 @@ class Engine final : public MasterContext {
       const double latency = platform_.worker(w).comm_latency;
       serial_basis = latency + (serial_basis - latency) * fate.stretch;
     }
-    if (fate.lost) ++fstats_.messages_lost;
-    if (fate.spike > 0.0) ++fstats_.latency_spikes;
+    if (fate.lost) ++fault_stats_.messages_lost;
+    if (fate.spike > 0.0) ++fault_stats_.latency_spikes;
     return fate;
   }
 
@@ -712,7 +675,7 @@ class Engine final : public MasterContext {
 
     double serial_basis = predicted_serial;
     const faults::LinkTimeline::MessageFate fate = link_fate(w, serial_basis);
-    if (fate.stretch > 1.0) ++fstats_.degraded_sends;
+    if (fate.stretch > 1.0) ++fault_stats_.degraded_sends;
     const double actual_serial = comm_process_.actual_duration(serial_basis, rng_);
     const double actual_tail = comm_process_.actual_duration(predicted_tail, rng_);
 
@@ -724,10 +687,10 @@ class Engine final : public MasterContext {
     RUMR_CHECK(busy_channels_ <= options_.uplink_channels, "uplink channel overcommitted");
     probe_.uplink_channels(busy_channels_, t0);
     probe_.chunk_dispatched(w);
-    chunk_hist_.add(chunk);
-    uplink_busy_time_ += actual_serial;
-    ++chunks_dispatched_;
-    work_dispatched_ += chunk;
+    engine_stats_.chunk_sizes.add(chunk);
+    engine_stats_.uplink_transfer_time += actual_serial;
+    ++engine_stats_.dispatches;
+    engine_stats_.work_dispatched += chunk;
     ++in_flight_[w];
     if (retransmit_on_) ++reserved_[w];
     RUMR_CHECK(committed_slots(w) <= options_.worker_buffer_capacity,
@@ -783,7 +746,7 @@ class Engine final : public MasterContext {
 
     double serial_basis = predicted_serial;
     const faults::LinkTimeline::MessageFate fate = link_fate(w, serial_basis);
-    if (fate.stretch > 1.0) ++fstats_.degraded_sends;
+    if (fate.stretch > 1.0) ++fault_stats_.degraded_sends;
     const double actual_serial = comm_process_.actual_duration(serial_basis, rng_);
     const double actual_tail = comm_process_.actual_duration(predicted_tail, rng_);
 
@@ -794,11 +757,11 @@ class Engine final : public MasterContext {
     ++busy_channels_;
     RUMR_CHECK(busy_channels_ <= options_.uplink_channels, "uplink channel overcommitted");
     probe_.uplink_channels(busy_channels_, t0);
-    uplink_busy_time_ += actual_serial;
+    engine_stats_.uplink_transfer_time += actual_serial;
     ++in_flight_[w];
 
-    ++fstats_.retransmits;
-    fstats_.work_retransmitted += chunk;
+    ++fault_stats_.retransmits;
+    fault_stats_.work_retransmitted += chunk;
     ++rec.attempts;
     rec.retransmitted = true;  // Karn: this lease's ACKs no longer sample RTT.
     rec.rto *= 2.0;            // Exponential backoff (RFC6298 section 5.5).
@@ -858,7 +821,7 @@ class Engine final : public MasterContext {
         // Duplicate of an already-accepted delivery (the original and a
         // retransmission both made it). Suppressed — but re-ACKed, so a
         // master that missed the first ACK stops re-sending.
-        ++fstats_.duplicates_suppressed;
+        ++fault_stats_.duplicates_suppressed;
         send_ack(w, lease);
         if (!redispatch_queue_.empty() || !retx_queue_.empty()) try_dispatch();
         return;
@@ -916,7 +879,7 @@ class Engine final : public MasterContext {
 
   /// Arms the retransmission timer for one delivery at sent_at + rto.
   void arm_retransmit(std::size_t w, DispatchRecord& rec, des::SimTime sent_at) {
-    rto_hist_.add(rec.rto);
+    engine_stats_.rto_values.add(rec.rto);
     rec.retx_event = sim_.schedule_at(sent_at + rec.rto, [this, w, lease = rec.lease] {
       on_retransmit_timer(w, lease);
     });
@@ -1028,7 +991,7 @@ class Engine final : public MasterContext {
 
     probe_.compute_end(w, t1);
     probe_.chunk_completed(w);
-    comp_hist_.add(actual_comp);
+    engine_stats_.compute_durations.add(actual_comp);
 
     WorkerOutcome& out = outcomes_[w];
     out.work += done.chunk;
@@ -1078,7 +1041,7 @@ class Engine final : public MasterContext {
     const double actual = comm_process_.actual_duration(predicted, rng_);
     const des::SimTime t0 = sim_.now();
     const des::SimTime t1 = t0 + actual;
-    downlink_busy_time_ += actual;
+    engine_stats_.downlink_busy_time += actual;
     if (options_.record_trace) trace_.add({SpanKind::kOutput, w, amount, t0, t1});
     sim_.schedule_at(t1, [this, t1] {
       downlink_busy_ = false;
@@ -1140,16 +1103,17 @@ class Engine final : public MasterContext {
       } else {
         msg << "deadlocked: simulation drained";
       }
-      msg << " at t=" << sim_.now() << " with work remaining (" << work_dispatched_ << " of "
-          << policy_.total_work() << " units dispatched, "
+      msg << " at t=" << sim_.now() << " with work remaining ("
+          << engine_stats_.work_dispatched << " of " << policy_.total_work()
+          << " units dispatched, "
           << (policy_.finished() ? "policy finished" : "policy unfinished") << ")";
       describe_workers(msg);
       throw SimError(msg.str());
     }
     const double expected = policy_.total_work();
-    // Re-dispatched work was counted in work_dispatched_ twice (or more);
+    // Re-dispatched work was counted in work_dispatched twice (or more);
     // conservation holds for the net amount.
-    const double net_dispatched = work_dispatched_ - fstats_.work_redispatched;
+    const double net_dispatched = engine_stats_.work_dispatched - engine_stats_.work_redispatched;
     const double scale = std::max(1.0, std::abs(expected));
     if (std::abs(net_dispatched - expected) > options_.work_tolerance * scale) {
       std::ostringstream msg;
@@ -1160,9 +1124,9 @@ class Engine final : public MasterContext {
     }
     // Exactly-once re-dispatch: at a successful drain every reclaimed chunk
     // was sent again exactly once.
-    RUMR_CHECK(fstats_.chunks_lost == fstats_.chunks_redispatched,
+    RUMR_CHECK(fault_stats_.chunks_lost == fault_stats_.chunks_redispatched,
                "lost chunks not re-dispatched exactly once");
-    RUMR_CHECK(std::abs(fstats_.work_lost - fstats_.work_redispatched) <=
+    RUMR_CHECK(std::abs(fault_stats_.work_lost - engine_stats_.work_redispatched) <=
                    options_.work_tolerance * scale,
                "lost work not re-dispatched exactly once");
     // Partial-work banking conservation: every net-dispatched unit was either
@@ -1170,7 +1134,7 @@ class Engine final : public MasterContext {
     // the policy-facing tolerance (this is an engine-internal identity).
     double computed = 0.0;
     for (const WorkerOutcome& out : outcomes_) computed += out.work;
-    RUMR_CHECK(std::abs(computed + fstats_.work_banked - net_dispatched) <= 1e-9 * scale,
+    RUMR_CHECK(std::abs(computed + fault_stats_.work_banked - net_dispatched) <= 1e-9 * scale,
                "computed + banked work does not reproduce the net dispatched workload");
     // Engine-internal drain invariants, checked after the policy-misbehavior
     // paths above (a deadlocked policy legitimately leaves a blocked send
@@ -1200,11 +1164,7 @@ class Engine final : public MasterContext {
   bool downlink_busy_ = false;
   util::FlatFifo<std::pair<std::size_t, double>> output_queue_;
   des::SimTime scheduled_poll_ = kNoPoll;
-  double uplink_busy_time_ = 0.0;
-  double downlink_busy_time_ = 0.0;
   double makespan_ = 0.0;
-  std::size_t chunks_dispatched_ = 0;
-  double work_dispatched_ = 0.0;
 
   std::vector<WorkerStatus> status_;
   std::vector<WorkerOutcome> outcomes_;
@@ -1233,7 +1193,6 @@ class Engine final : public MasterContext {
   std::uint64_t next_lease_ = 0;          ///< Per-dispatch lease id source.
   std::vector<util::FlatFifo<DispatchRecord>> dispatch_records_;
   util::FlatFifo<RedispatchItem> redispatch_queue_;
-  FaultSummary fstats_;
   bool work_all_done_ = false;
 
   // Link-fault layer and retransmit protocol (inert unless enabled).
@@ -1270,12 +1229,10 @@ class Engine final : public MasterContext {
   /// fencing hair-triggered.
   static constexpr double kAdaptiveSlackFloor = 1.5;
   obs::EngineProbe probe_;
-  obs::Histogram chunk_hist_;
-  obs::Histogram comp_hist_;
-  obs::Histogram timeout_hist_;  ///< Armed completion-watchdog windows.
-  obs::Histogram rto_hist_;      ///< Armed retransmission timeouts.
-  std::size_t false_suspicions_ = 0;  ///< Fencings of actually-alive workers.
-  std::size_t backoff_retries_ = 0;   ///< Blacklist-backoff waits armed.
+  /// The run's ledgers, accumulated in place and moved into the result's
+  /// RunMetrics at the end (collect_metrics adds the end-of-run fields).
+  obs::EngineStats engine_stats_;
+  obs::FaultStats fault_stats_;
 };
 
 }  // namespace

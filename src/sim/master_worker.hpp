@@ -173,52 +173,20 @@ struct WorkerOutcome {
   double last_end = 0.0;    ///< When the last computation finished.
 };
 
-/// Fault-layer statistics for one run (all zero when faults are disabled).
-struct FaultSummary {
-  std::size_t failures = 0;     ///< Ground-truth worker-down transitions.
-  std::size_t recoveries = 0;   ///< Ground-truth worker-up transitions.
-  std::size_t suspicions = 0;   ///< Completion-timeouts fired (workers fenced).
-  std::size_t rejoins = 0;      ///< Fenced workers re-admitted after backoff.
-  std::size_t chunks_lost = 0;  ///< Dispatched chunks reclaimed from fenced workers.
-  double work_lost = 0.0;       ///< Workload units in those chunks.
-  std::size_t chunks_redispatched = 0;  ///< Reclaimed chunks sent again.
-  double work_redispatched = 0.0;       ///< Workload units sent again.
-
-  // Link-fault / retransmit-protocol counters (zero when the link layer and
-  // the retransmit protocol are disabled).
-  std::size_t messages_lost = 0;   ///< Payloads and ACKs dropped in the network.
-  std::size_t latency_spikes = 0;  ///< Messages delayed by a latency spike.
-  std::size_t degraded_sends = 0;  ///< Payload sends inside a degradation window.
-  std::size_t retransmits = 0;     ///< Chunk payloads re-sent by the protocol.
-  double work_retransmitted = 0.0; ///< Workload units in those re-sends.
-  std::size_t duplicates_suppressed = 0;  ///< Duplicate deliveries dropped by lease id.
-
-  // Partial-work checkpointing counters (zero when checkpoint.interval == 0).
-  std::size_t checkpoints_banked = 0;  ///< Aborted computations that banked progress.
-  double work_banked = 0.0;            ///< Workload units banked (never recomputed).
-};
-
-/// Result of a simulated run.
+/// Result of a simulated run. The run's counters (dispatches, work moved,
+/// link time, fault ledger, utilization) live in one place: `metrics`.
 struct SimResult {
   /// Completion time of the last chunk (or of the last output transfer when
   /// the output-data model is enabled).
   double makespan = 0.0;
-  std::size_t chunks_dispatched = 0;
-  double work_dispatched = 0.0;
-  double uplink_busy_time = 0.0;      ///< Total serialized transfer time.
-  double downlink_busy_time = 0.0;    ///< Output transfers (0 unless enabled).
   std::size_t events = 0;             ///< DES events executed.
   std::vector<WorkerOutcome> workers;
-  FaultSummary faults;                ///< Fault-layer counters (zero when disabled).
   /// Always-on observability record: DES kernel stats, uplink/worker time
   /// accounting, fault counters. Collection adds zero RNG draws and O(1)
   /// work per event; check::audit_sim_result verifies its identities
   /// (uplink busy + idle == makespan; per-worker spans tile the run).
   obs::RunMetrics metrics;
   Trace trace;                        ///< Populated iff record_trace.
-
-  /// Mean worker utilization: busy time / makespan, averaged over workers.
-  [[nodiscard]] double mean_worker_utilization() const;
 };
 
 /// Runs one policy to completion on one platform.

@@ -355,11 +355,12 @@ GoldenScenario record_scenario(const std::string& name) {
     GoldenCase c;
     c.algorithm = spec.name;
     c.makespan = result.makespan;
-    c.work_dispatched = result.work_dispatched;
-    c.uplink_busy_time = result.uplink_busy_time;
-    c.chunks = result.chunks_dispatched;
+    const obs::RunMetrics& m = result.metrics;
+    c.work_dispatched = m.engine.work_dispatched;
+    c.uplink_busy_time = m.engine.uplink_transfer_time;
+    c.chunks = m.engine.dispatches;
     c.events = result.events;
-    c.chunks_redispatched = result.faults.chunks_redispatched;
+    c.chunks_redispatched = m.faults.chunks_redispatched;
     scenario.cases.push_back(std::move(c));
   }
   return scenario;

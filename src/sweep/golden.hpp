@@ -24,7 +24,7 @@ struct GoldenCase {
   std::string algorithm;
   double makespan = 0.0;
   double work_dispatched = 0.0;
-  double uplink_busy_time = 0.0;
+  double uplink_busy_time = 0.0;  ///< Serialized transfer time (engine.uplink_transfer_time).
   std::uint64_t chunks = 0;
   std::uint64_t events = 0;
   std::uint64_t chunks_redispatched = 0;  ///< Nonzero only in fault scenarios.

@@ -1,5 +1,6 @@
 #include "sweep/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <mutex>
@@ -14,6 +15,7 @@
 #include "sim/master_worker.hpp"
 #include "stats/rng.hpp"
 #include "sweep/thread_pool.hpp"
+#include "util/problems.hpp"
 
 namespace rumr::sweep {
 
@@ -91,12 +93,22 @@ void JobsCellStats::merge(const JobsCellStats& other) {
   job_sizes.merge(other.job_sizes);
 }
 
-std::size_t shards_per_site(std::size_t reps, std::size_t rep_block) noexcept {
-  if (reps == 0) return 0;
+namespace {
+
+/// The repetitions one shard runs: rep_block, with 0 meaning ceil(reps / 8),
+/// clamped to [1, reps]. Deliberately a function of (reps, rep_block) only —
+/// NEVER of the thread count — so the shard structure, and therefore the
+/// fixed-order merge tree, is identical for every threads= setting.
+std::size_t resolve_rep_block(std::size_t reps, std::size_t rep_block) noexcept {
   if (rep_block == 0) rep_block = (reps + 7) / 8;
-  if (rep_block < 1) rep_block = 1;
-  if (rep_block > reps) rep_block = reps;
-  return (reps + rep_block - 1) / rep_block;
+  return std::clamp<std::size_t>(rep_block, 1, std::max<std::size_t>(reps, 1));
+}
+
+}  // namespace
+
+std::size_t shards_per_site(std::size_t reps, std::size_t rep_block) noexcept {
+  const std::size_t block = resolve_rep_block(reps, rep_block);
+  return (reps + block - 1) / block;
 }
 
 namespace {
@@ -112,22 +124,6 @@ sim::SimOptions make_sim_options(double error, std::uint64_t seed,
   options.faults = faults;
   options.fault_tolerance = tolerance;
   return options;
-}
-
-void throw_invalid(const char* what, const std::vector<std::string>& problems) {
-  std::string joined = what;
-  for (const std::string& p : problems) joined += "\n  - " + p;
-  throw std::invalid_argument(joined);
-}
-
-/// Shards per site: how many rep-blocks a (platform, axis) site splits into.
-/// Deliberately a function of (reps, rep_block) only — NEVER of the thread
-/// count — so the shard structure, and therefore the fixed-order merge tree,
-/// is identical for every threads= setting.
-std::size_t resolve_rep_block(std::size_t reps, std::size_t rep_block) {
-  if (rep_block == 0) rep_block = (reps + 7) / 8;
-  if (rep_block < 1) rep_block = 1;
-  return std::min(rep_block, reps);
 }
 
 /// The map-reduce scaffold shared by the closed- and open-system engines.
@@ -202,10 +198,8 @@ ClosedPartial run_closed_shard(const SweepPlatform& site, double error, std::siz
       makespans[a] = sim_result.makespan;
 
       if (options.audit_runs) {
-        check::TraceAuditOptions audit_options;
-        audit_options.work_tolerance = sim_options.work_tolerance;
-        audit_options.uplink_channels = sim_options.uplink_channels;
-        check::audit_sim_result(sim_result, site.platform, options.w_total, audit_options)
+        check::audit_sim_result(sim_result, site.platform, options.w_total,
+                                check::audit_options_for(sim_options))
             .throw_if_failed();
       }
 
@@ -238,10 +232,12 @@ void run_sweep_streaming(const std::vector<SweepPlatform>& platforms,
   if (platforms.empty()) problems.emplace_back("platforms axis is empty — nothing to sweep");
   if (algorithms.empty()) problems.emplace_back("at least one algorithm is required");
   if (!consumer) problems.emplace_back("a cell consumer is required");
-  if (!problems.empty()) throw_invalid("invalid sweep request:", problems);
+  if (!problems.empty()) {
+    throw std::invalid_argument(util::join_problems("invalid sweep request:", problems));
+  }
 
   const std::size_t rep_block = resolve_rep_block(options.repetitions, options.rep_block);
-  const std::size_t blocks = (options.repetitions + rep_block - 1) / rep_block;
+  const std::size_t blocks = shards_per_site(options.repetitions, options.rep_block);
   const std::size_t num_errors = options.errors.size();
 
   run_sharded<ClosedPartial>(
@@ -341,7 +337,7 @@ SweepResult run_sweep(const std::vector<PlatformConfig>& configs,
                       const std::vector<AlgorithmSpec>& algorithms, const SweepOptions& options) {
   if (algorithms.empty()) throw std::invalid_argument("run_sweep needs at least one algorithm");
   if (const std::vector<std::string> problems = options.validate(); !problems.empty()) {
-    throw_invalid("invalid SweepOptions:", problems);
+    throw std::invalid_argument(util::join_problems("invalid SweepOptions:", problems));
   }
 
   std::vector<std::string> names;
@@ -426,10 +422,12 @@ void run_jobs_sweep(const std::vector<SweepPlatform>& platforms,
   std::vector<std::string> problems = options.validate();
   if (platforms.empty()) problems.emplace_back("platforms axis is empty — nothing to sweep");
   if (!consumer) problems.emplace_back("a cell consumer is required");
-  if (!problems.empty()) throw_invalid("invalid jobs-sweep request:", problems);
+  if (!problems.empty()) {
+    throw std::invalid_argument(util::join_problems("invalid jobs-sweep request:", problems));
+  }
 
   const std::size_t rep_block = resolve_rep_block(options.repetitions, options.rep_block);
-  const std::size_t blocks = (options.repetitions + rep_block - 1) / rep_block;
+  const std::size_t blocks = shards_per_site(options.repetitions, options.rep_block);
   const std::size_t num_loads = options.loads.size();
 
   run_sharded<JobsCellStats>(

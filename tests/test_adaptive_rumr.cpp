@@ -24,7 +24,7 @@ TEST(AdaptiveRumr, ConservesWorkload) {
   const platform::StarPlatform p = paperish();
   AdaptiveRumrPolicy policy(p, 1000.0);
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.3, 21));
-  EXPECT_NEAR(r.work_dispatched, 1000.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 1000.0, 1e-6);
   EXPECT_TRUE(policy.finished());
 }
 
@@ -65,7 +65,7 @@ TEST(AdaptiveRumr, ZeroPilotIsPureRumrWithFallback) {
   options.fallback_error = 0.2;
   AdaptiveRumrPolicy policy(p, 1000.0, options);
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.2, 9));
-  EXPECT_NEAR(r.work_dispatched, 1000.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 1000.0, 1e-6);
   EXPECT_DOUBLE_EQ(*policy.estimated_error(), 0.2);
 }
 
@@ -75,7 +75,7 @@ TEST(AdaptiveRumr, FullPilotNeverBuildsRest) {
   options.pilot_fraction = 1.0;
   AdaptiveRumrPolicy policy(p, 1000.0, options);
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.2, 13));
-  EXPECT_NEAR(r.work_dispatched, 1000.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 1000.0, 1e-6);
   EXPECT_FALSE(policy.estimated_error().has_value());
 }
 

@@ -73,7 +73,7 @@ TEST(RunBuilder, FaultAndLinkOptionsExecuteAudited) {
   EXPECT_GT(result.makespan, 0.0);
   double computed = 0.0;
   for (const auto& w : result.sim.workers) computed += w.work;
-  EXPECT_NEAR(computed + result.sim.faults.work_banked, 200.0, 1e-6);
+  EXPECT_NEAR(computed + result.sim.metrics.faults.work_banked, 200.0, 1e-6);
 }
 
 TEST(RunBuilder, DefaultConstructedRunExecutes) {

@@ -159,9 +159,9 @@ platform::StarPlatform two_workers() {
 sim::SimResult toy_result() {
   sim::SimResult r;
   r.makespan = 12.0;
-  r.chunks_dispatched = 2;
-  r.work_dispatched = 16.0;
-  r.uplink_busy_time = 4.0;
+  r.metrics.engine.dispatches = 2;
+  r.metrics.engine.work_dispatched = 16.0;
+  r.metrics.engine.uplink_transfer_time = 4.0;
   r.workers.resize(2);
   r.workers[0] = {8.0, 1, 8.0, 2.0, 10.0};
   r.workers[1] = {8.0, 1, 8.0, 4.0, 12.0};
@@ -199,8 +199,8 @@ TEST(TraceAudit, FiresOnOverlappingComputeSpans) {
   r.workers[0].work += 1.0;
   r.workers[0].chunks += 1;
   r.workers[0].busy_time += 1.0;
-  r.work_dispatched += 1.0;
-  r.chunks_dispatched += 1;
+  r.metrics.engine.work_dispatched += 1.0;
+  r.metrics.engine.dispatches += 1;
   const AuditReport report = audit_sim_result(r, two_workers(), 17.0);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("compute overlap"), std::string::npos);
@@ -210,8 +210,8 @@ TEST(TraceAudit, FiresOnOverlappingUplinkSpans) {
   sim::SimResult r = toy_result();
   sim::SimResult broken;
   broken.makespan = r.makespan;
-  broken.chunks_dispatched = r.chunks_dispatched;
-  broken.work_dispatched = r.work_dispatched;
+  broken.metrics.engine.dispatches = r.metrics.engine.dispatches;
+  broken.metrics.engine.work_dispatched = r.metrics.engine.work_dispatched;
   broken.workers = r.workers;
   // Both transfers start at t=0 on a single-channel uplink.
   broken.trace.add({sim::SpanKind::kUplink, 0, 8.0, 0.0, 2.0});
@@ -230,7 +230,7 @@ TEST(TraceAudit, FiresOnOverlappingUplinkSpans) {
 
 TEST(TraceAudit, FiresOnChunkCountMismatch) {
   sim::SimResult r = toy_result();
-  r.chunks_dispatched = 3;  // Claims a chunk nobody computed.
+  r.metrics.engine.dispatches = 3;  // Claims a chunk nobody computed.
   const AuditReport report = audit_sim_result(r, two_workers(), 16.0);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("chunk conservation"), std::string::npos);
@@ -294,7 +294,7 @@ TEST(MetricsAudit, FiresOnDesEventLedgerMismatch) {
 }
 
 TEST(MetricsAudit, SkipsHandBuiltResultsWithoutMetrics) {
-  // Legacy hand-assembled results carry no metrics record; the audit must not
+  // Hand-assembled results carry no per-worker spans; the audit must not
   // report phantom violations for them.
   const sim::SimResult r = toy_result();
   EXPECT_TRUE(r.metrics.engine.workers.empty());

@@ -203,7 +203,7 @@ TEST(RunDescription, EveryAlgorithmNameInstantiatesAndRuns) {
     const auto policy = make_policy(run);
     ASSERT_NE(policy, nullptr) << name;
     const sim::SimResult r = simulate(run.platform, *policy, run.sim_options);
-    EXPECT_NEAR(r.work_dispatched, 400.0, 1e-6) << name;
+    EXPECT_NEAR(r.metrics.engine.work_dispatched, 400.0, 1e-6) << name;
   }
 }
 

@@ -103,7 +103,7 @@ TEST(FactoringPolicy, GreedyDispatchFeedsOnlyIdleWorkers) {
   sim::SimOptions options;
   options.record_trace = true;
   const sim::SimResult r = simulate(p, policy, options);
-  EXPECT_NEAR(r.work_dispatched, 400.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 400.0, 1e-6);
   // Self-scheduling: at any time a worker holds at most one outstanding
   // chunk, so compute spans for one worker never overlap and are separated
   // by the request round trips.
@@ -123,7 +123,7 @@ TEST(FactoringPolicy, WorksOnWorkerSubset) {
       {.workers = 6, .speed = 1.0, .bandwidth = 12.0});
   FactoringPolicy policy(300.0, std::vector<std::size_t>{1, 3, 5});
   const sim::SimResult r = simulate(p, policy, sim::SimOptions{});
-  EXPECT_NEAR(r.work_dispatched, 300.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 300.0, 1e-6);
   EXPECT_EQ(r.workers[0].chunks, 0u);
   EXPECT_EQ(r.workers[2].chunks, 0u);
   EXPECT_EQ(r.workers[4].chunks, 0u);

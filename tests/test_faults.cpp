@@ -220,12 +220,12 @@ TEST(FaultSim, ScriptedFailStopCompletesOnSurvivors) {
 
   const sim::SimResult result = simulate(platform, policy, options);
 
-  EXPECT_EQ(result.faults.failures, 1u);
-  EXPECT_EQ(result.faults.recoveries, 0u);
-  EXPECT_EQ(result.faults.suspicions, 1u);
-  EXPECT_GT(result.faults.chunks_lost, 0u);
-  EXPECT_EQ(result.faults.chunks_lost, result.faults.chunks_redispatched);
-  EXPECT_NEAR(result.faults.work_lost, result.faults.work_redispatched, 1e-9);
+  EXPECT_EQ(result.metrics.faults.failures, 1u);
+  EXPECT_EQ(result.metrics.faults.recoveries, 0u);
+  EXPECT_EQ(result.metrics.faults.fencings, 1u);
+  EXPECT_GT(result.metrics.faults.chunks_lost, 0u);
+  EXPECT_EQ(result.metrics.faults.chunks_lost, result.metrics.faults.chunks_redispatched);
+  EXPECT_NEAR(result.metrics.faults.work_lost, result.metrics.engine.work_redispatched, 1e-9);
 
   // Work ends up fully computed by the survivors.
   double survivor_work = 0.0;
@@ -247,8 +247,8 @@ TEST(FaultSim, OverlappingScriptedOutagesDoNotDoubleCountDowntime) {
 
   const sim::SimResult result = simulate(platform, policy, options);
 
-  EXPECT_EQ(result.faults.failures, 1u);
-  EXPECT_EQ(result.faults.recoveries, 1u);
+  EXPECT_EQ(result.metrics.faults.failures, 1u);
+  EXPECT_EQ(result.metrics.faults.recoveries, 1u);
   EXPECT_NEAR(result.metrics.engine.workers[0].down_time, 5.0, 1e-9);
 
   const check::AuditReport audit = check::audit_sim_result(result, platform, 90.0);
@@ -265,7 +265,7 @@ TEST(FaultSim, TransientInstantRepairCompletesAndAudits) {
 
   const sim::SimResult result = simulate(platform, policy, options);
 
-  EXPECT_EQ(result.faults.failures, result.faults.recoveries);
+  EXPECT_EQ(result.metrics.faults.failures, result.metrics.faults.recoveries);
   for (const obs::WorkerSpans& spans : result.metrics.engine.workers) {
     EXPECT_DOUBLE_EQ(spans.down_time, 0.0);
   }
@@ -311,7 +311,7 @@ TEST(FaultSim, UmrRedistributesDeadWorkersShare) {
 
   const sim::SimResult result = simulate(platform, policy, options);
 
-  EXPECT_GT(result.faults.chunks_redispatched, 0u);
+  EXPECT_GT(result.metrics.faults.chunks_redispatched, 0u);
   double total = 0.0;
   for (const auto& w : result.workers) total += w.work;
   EXPECT_NEAR(total, 200.0, 1e-6);
@@ -376,10 +376,10 @@ TEST(FaultSim, TransientWorkerRejoinsAndContributes) {
 
   const sim::SimResult result = simulate(platform, policy, options);
 
-  EXPECT_EQ(result.faults.failures, 1u);
-  EXPECT_EQ(result.faults.recoveries, 1u);
-  EXPECT_GE(result.faults.suspicions, 1u);
-  EXPECT_GE(result.faults.rejoins, 1u);
+  EXPECT_EQ(result.metrics.faults.failures, 1u);
+  EXPECT_EQ(result.metrics.faults.recoveries, 1u);
+  EXPECT_GE(result.metrics.faults.fencings, 1u);
+  EXPECT_GE(result.metrics.faults.rejoins, 1u);
 
   // Worker 0 computes again after its recovery at t=30.
   bool computed_after_recovery = false;
@@ -401,9 +401,9 @@ TEST(FaultSim, FlapperIsFencedRepeatedly) {
 
   const sim::SimResult result = simulate(platform, policy, options);
 
-  EXPECT_EQ(result.faults.failures, 2u);
-  EXPECT_GE(result.faults.suspicions, 2u);
-  EXPECT_GE(result.faults.rejoins, 2u);
+  EXPECT_EQ(result.metrics.faults.failures, 2u);
+  EXPECT_GE(result.metrics.faults.fencings, 2u);
+  EXPECT_GE(result.metrics.faults.rejoins, 2u);
   const check::AuditReport audit = check::audit_sim_result(result, platform, 300.0);
   EXPECT_TRUE(audit.ok()) << audit.summary();
 }
@@ -442,9 +442,9 @@ TEST(FaultSim, BackoffExhaustedFlapperRejoinsMidPhase2WithFloorSizedChunk) {
 
   const sim::SimResult result = simulate(platform, policy, options);
 
-  EXPECT_EQ(result.faults.failures, 3u);
-  EXPECT_GE(result.faults.suspicions, 3u);
-  EXPECT_GE(result.faults.rejoins, 3u);
+  EXPECT_EQ(result.metrics.faults.failures, 3u);
+  EXPECT_GE(result.metrics.faults.fencings, 3u);
+  EXPECT_GE(result.metrics.faults.rejoins, 3u);
 
   // After its last recovery the worker computes again, and the first chunk
   // it is handed respects the phase-2 floor.
@@ -483,8 +483,8 @@ TEST(FaultSim, FaultyRunsReplayByteIdentical) {
   const sim::SimResult a = run();
   const sim::SimResult b = run();
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.faults.failures, b.faults.failures);
-  EXPECT_EQ(a.faults.suspicions, b.faults.suspicions);
+  EXPECT_EQ(a.metrics.faults.failures, b.metrics.faults.failures);
+  EXPECT_EQ(a.metrics.faults.fencings, b.metrics.faults.fencings);
   EXPECT_EQ(sim::to_chrome_tracing(a.trace), sim::to_chrome_tracing(b.trace));
 }
 
@@ -505,8 +505,8 @@ TEST(FaultSim, EnabledButQuietFaultLayerMatchesBaseline) {
   const sim::SimResult quiet = run(true);
 
   // No false positives: the watchdog never fences a healthy worker ...
-  EXPECT_EQ(quiet.faults.suspicions, 0u);
-  EXPECT_EQ(quiet.faults.chunks_lost, 0u);
+  EXPECT_EQ(quiet.metrics.faults.fencings, 0u);
+  EXPECT_EQ(quiet.metrics.faults.chunks_lost, 0u);
   // ... and the schedule is untouched.
   EXPECT_DOUBLE_EQ(quiet.makespan, baseline.makespan);
   EXPECT_EQ(sim::to_chrome_tracing(quiet.trace), sim::to_chrome_tracing(baseline.trace));
@@ -586,10 +586,10 @@ TEST(FaultSim, NoFaultRunCarriesZeroFaultStats) {
   const auto platform = uniform_platform(2);
   baselines::FactoringPolicy policy(40.0, 2);
   const sim::SimResult result = simulate(platform, policy, sim::SimOptions{});
-  EXPECT_EQ(result.faults.failures, 0u);
-  EXPECT_EQ(result.faults.suspicions, 0u);
-  EXPECT_EQ(result.faults.chunks_lost, 0u);
-  EXPECT_DOUBLE_EQ(result.faults.work_redispatched, 0.0);
+  EXPECT_EQ(result.metrics.faults.failures, 0u);
+  EXPECT_EQ(result.metrics.faults.fencings, 0u);
+  EXPECT_EQ(result.metrics.faults.chunks_lost, 0u);
+  EXPECT_DOUBLE_EQ(result.metrics.engine.work_redispatched, 0.0);
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ TEST(FscPolicy, ConservesAndRuns) {
   FscPolicy policy(p, 1000.0, 0.3);
   EXPECT_EQ(policy.name(), "FSC");
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.3, 3));
-  EXPECT_NEAR(r.work_dispatched, 1000.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 1000.0, 1e-6);
 }
 
 TEST(FscPolicy, AllChunksEqualExceptLast) {
@@ -80,7 +80,7 @@ TEST(FscPolicy, FactoryProducesPolicy) {
   const platform::StarPlatform p = paperish();
   const auto policy = make_fsc_policy(p, 500.0, 0.2);
   const sim::SimResult r = simulate(p, *policy, sim::SimOptions{});
-  EXPECT_NEAR(r.work_dispatched, 500.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 500.0, 1e-6);
 }
 
 }  // namespace

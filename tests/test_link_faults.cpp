@@ -124,9 +124,9 @@ TEST(LinkSim, LossyLinkRecoversViaWatchdogWithoutRetransmit) {
 
   const sim::SimResult result = simulate(platform, policy, options);
 
-  EXPECT_GT(result.faults.messages_lost, 0u);
-  EXPECT_GT(result.faults.suspicions, 0u);
-  EXPECT_EQ(result.faults.chunks_lost, result.faults.chunks_redispatched);
+  EXPECT_GT(result.metrics.faults.messages_lost, 0u);
+  EXPECT_GT(result.metrics.faults.fencings, 0u);
+  EXPECT_EQ(result.metrics.faults.chunks_lost, result.metrics.faults.chunks_redispatched);
   EXPECT_NEAR(total_work_of(result), 120.0, 1e-6);
 
   const check::AuditReport audit = check::audit_sim_result(result, platform, 120.0);
@@ -141,9 +141,9 @@ TEST(LinkSim, RetransmitProtocolRecoversLostPayloads) {
 
   const sim::SimResult result = simulate(platform, policy, options);
 
-  EXPECT_GT(result.faults.messages_lost, 0u);
-  EXPECT_GT(result.faults.retransmits, 0u);
-  EXPECT_GT(result.faults.work_retransmitted, 0.0);
+  EXPECT_GT(result.metrics.faults.messages_lost, 0u);
+  EXPECT_GT(result.metrics.faults.retransmits, 0u);
+  EXPECT_GT(result.metrics.faults.work_retransmitted, 0.0);
   EXPECT_NEAR(total_work_of(result), 120.0, 1e-6);
 
   const check::AuditReport audit = check::audit_sim_result(result, platform, 120.0);
@@ -164,10 +164,10 @@ TEST(LinkSim, AggressiveRtoProducesSuppressedDuplicates) {
 
   const sim::SimResult result = simulate(platform, policy, options);
 
-  EXPECT_GT(result.faults.latency_spikes, 0u);
-  EXPECT_GT(result.faults.retransmits, 0u);
-  EXPECT_GT(result.faults.duplicates_suppressed, 0u);
-  EXPECT_LE(result.faults.duplicates_suppressed, result.faults.retransmits);
+  EXPECT_GT(result.metrics.faults.latency_spikes, 0u);
+  EXPECT_GT(result.metrics.faults.retransmits, 0u);
+  EXPECT_GT(result.metrics.faults.duplicates_suppressed, 0u);
+  EXPECT_LE(result.metrics.faults.duplicates_suppressed, result.metrics.faults.retransmits);
   EXPECT_NEAR(total_work_of(result), 100.0, 1e-6);
 
   const check::AuditReport audit = check::audit_sim_result(result, platform, 100.0);
@@ -185,7 +185,7 @@ TEST(LinkSim, DegradedWindowsSlowTheRunDown) {
   baselines::FactoringPolicy degraded_policy(200.0, 3);
   const sim::SimResult degraded = simulate(platform, degraded_policy, degraded_options);
 
-  EXPECT_GT(degraded.faults.degraded_sends, 0u);
+  EXPECT_GT(degraded.metrics.faults.degraded_sends, 0u);
   EXPECT_GT(degraded.makespan, clean.makespan);
   EXPECT_NEAR(total_work_of(degraded), 200.0, 1e-6);
 
@@ -210,11 +210,11 @@ TEST(LinkSim, FaultyLinkRunsReplayByteIdentical) {
   const sim::SimResult b = run();
 
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.faults.messages_lost, b.faults.messages_lost);
-  EXPECT_EQ(a.faults.retransmits, b.faults.retransmits);
-  EXPECT_EQ(a.faults.duplicates_suppressed, b.faults.duplicates_suppressed);
-  EXPECT_EQ(a.faults.checkpoints_banked, b.faults.checkpoints_banked);
-  EXPECT_DOUBLE_EQ(a.faults.work_banked, b.faults.work_banked);
+  EXPECT_EQ(a.metrics.faults.messages_lost, b.metrics.faults.messages_lost);
+  EXPECT_EQ(a.metrics.faults.retransmits, b.metrics.faults.retransmits);
+  EXPECT_EQ(a.metrics.faults.duplicates_suppressed, b.metrics.faults.duplicates_suppressed);
+  EXPECT_EQ(a.metrics.faults.checkpoints_banked, b.metrics.faults.checkpoints_banked);
+  EXPECT_DOUBLE_EQ(a.metrics.faults.work_banked, b.metrics.faults.work_banked);
   EXPECT_EQ(sim::to_chrome_tracing(a.trace), sim::to_chrome_tracing(b.trace));
 }
 
@@ -232,9 +232,9 @@ TEST(LinkSim, InertLinkSpecAddsNothing) {
   const sim::SimResult with_spec = run(true);
 
   EXPECT_DOUBLE_EQ(with_spec.makespan, baseline.makespan);
-  EXPECT_EQ(with_spec.faults.messages_lost, 0u);
-  EXPECT_EQ(with_spec.faults.retransmits, 0u);
-  EXPECT_EQ(with_spec.faults.work_banked, 0.0);
+  EXPECT_EQ(with_spec.metrics.faults.messages_lost, 0u);
+  EXPECT_EQ(with_spec.metrics.faults.retransmits, 0u);
+  EXPECT_EQ(with_spec.metrics.faults.work_banked, 0.0);
   EXPECT_EQ(sim::to_chrome_tracing(with_spec.trace), sim::to_chrome_tracing(baseline.trace));
 }
 
@@ -268,7 +268,7 @@ TEST(LinkSim, RunFinishesWhenFinalCompletionRacesASettledRetransmission) {
   // The stalled run burned the whole 2M-event budget; a converging one needs
   // a few hundred events.
   EXPECT_LT(result.events, 100000u);
-  EXPECT_NEAR(total_work_of(result) + result.faults.work_banked, 500.0, 1e-6);
+  EXPECT_NEAR(total_work_of(result) + result.metrics.faults.work_banked, 500.0, 1e-6);
   const check::AuditReport audit = check::audit_sim_result(result, platform, 500.0);
   EXPECT_TRUE(audit.ok()) << audit.summary();
 }
@@ -315,13 +315,13 @@ TEST(CheckpointSim, BankedWorkReducesRedispatchUnderMessageLoss) {
   const sim::SimResult with = run(0.25);
 
   // Same seed, same loss pattern: both runs lose payloads and fence workers.
-  ASSERT_GT(without.faults.work_redispatched, 0.0);
-  EXPECT_GT(with.faults.checkpoints_banked, 0u);
-  EXPECT_GT(with.faults.work_banked, 0.0);
-  EXPECT_LT(with.faults.work_redispatched, without.faults.work_redispatched);
+  ASSERT_GT(without.metrics.engine.work_redispatched, 0.0);
+  EXPECT_GT(with.metrics.faults.checkpoints_banked, 0u);
+  EXPECT_GT(with.metrics.faults.work_banked, 0.0);
+  EXPECT_LT(with.metrics.engine.work_redispatched, without.metrics.engine.work_redispatched);
 
   EXPECT_NEAR(total_work_of(without), 400.0, 1e-4);
-  EXPECT_NEAR(total_work_of(with) + with.faults.work_banked, 400.0, 1e-4);
+  EXPECT_NEAR(total_work_of(with) + with.metrics.faults.work_banked, 400.0, 1e-4);
 
   const check::AuditReport audit_without = check::audit_sim_result(without, platform, 400.0);
   EXPECT_TRUE(audit_without.ok()) << audit_without.summary();
@@ -341,11 +341,11 @@ TEST(CheckpointSim, BankingConservationHoldsUnderWorkerCrashes) {
   const sim::SimResult result = simulate(platform, policy, options);
 
   // Worker 0 was mid-chunk at t=2 with >= 3 completed checkpoint intervals.
-  EXPECT_GT(result.faults.checkpoints_banked, 0u);
-  EXPECT_GT(result.faults.work_banked, 0.0);
-  EXPECT_NEAR(total_work_of(result) + result.faults.work_banked, 300.0, 1e-6);
+  EXPECT_GT(result.metrics.faults.checkpoints_banked, 0u);
+  EXPECT_GT(result.metrics.faults.work_banked, 0.0);
+  EXPECT_NEAR(total_work_of(result) + result.metrics.faults.work_banked, 300.0, 1e-6);
   // The banked fraction shrank the reclaimed remainder below the full chunk.
-  EXPECT_LT(result.faults.work_lost, 5.0 * result.faults.chunks_lost);
+  EXPECT_LT(result.metrics.faults.work_lost, 5.0 * result.metrics.faults.chunks_lost);
 
   const check::AuditReport audit = check::audit_sim_result(result, platform, 300.0);
   EXPECT_TRUE(audit.ok()) << audit.summary();
@@ -359,8 +359,8 @@ TEST(CheckpointSim, ZeroIntervalBanksNothing) {
   options.faults = faults::FaultSpec::scripted({{0, {2.0, 40.0}}});
 
   const sim::SimResult result = simulate(platform, policy, options);
-  EXPECT_EQ(result.faults.checkpoints_banked, 0u);
-  EXPECT_EQ(result.faults.work_banked, 0.0);
+  EXPECT_EQ(result.metrics.faults.checkpoints_banked, 0u);
+  EXPECT_EQ(result.metrics.faults.work_banked, 0.0);
   EXPECT_NEAR(total_work_of(result), 300.0, 1e-6);
 }
 

@@ -58,7 +58,7 @@ TEST(Gss, PolicyRunsAndConserves) {
   const auto policy = make_gss_policy(p, 800.0);
   EXPECT_EQ(policy->name(), "GSS");
   const sim::SimResult r = simulate(p, *policy, sim::SimOptions::with_error(0.3, 5));
-  EXPECT_NEAR(r.work_dispatched, 800.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 800.0, 1e-6);
 }
 
 // --- TSS ------------------------------------------------------------------
@@ -104,7 +104,7 @@ TEST(Tss, PolicyRunsAndConserves) {
   const platform::StarPlatform p = paperish();
   const auto policy = make_tss_policy(p, 800.0);
   const sim::SimResult r = simulate(p, *policy, sim::SimOptions::with_error(0.2, 9));
-  EXPECT_NEAR(r.work_dispatched, 800.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 800.0, 1e-6);
 }
 
 // --- CSS ------------------------------------------------------------------
@@ -159,7 +159,7 @@ TEST(WeightedFactoring, PolicyRunsOnHeterogeneousPlatform) {
   const auto policy = make_weighted_factoring_policy(p, 600.0);
   EXPECT_EQ(policy->name(), "WF");
   const sim::SimResult r = simulate(p, *policy, sim::SimOptions::with_error(0.25, 3));
-  EXPECT_NEAR(r.work_dispatched, 600.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 600.0, 1e-6);
   // The fast worker computed more than the slow one.
   EXPECT_GT(r.workers[1].work, r.workers[0].work);
 }
@@ -173,7 +173,7 @@ TEST(WeightedFactoring, SlowWorkerDoesNotStallTheOther) {
       {{1.0, 10.0, 50.0, 0.0, 0.0}, {1.0, 10.0, 0.0, 0.0, 0.0}});
   WeightedFactoringPolicy policy(p, 500.0);
   const sim::SimResult r = simulate(p, policy, sim::SimOptions{});
-  EXPECT_NEAR(r.work_dispatched, 500.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 500.0, 1e-6);
   EXPECT_LT(r.workers[1].last_end, 0.5 * r.workers[0].last_end);
   EXPECT_DOUBLE_EQ(r.makespan, r.workers[0].last_end);
 }

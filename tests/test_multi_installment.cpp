@@ -142,7 +142,7 @@ TEST(MultiInstallment, PolicyExecutesOnLatencyfulPlatform) {
   const auto policy = make_mi_policy(p, 500.0, 3);
   EXPECT_EQ(policy->name(), "MI-3");
   const sim::SimResult r = simulate(p, *policy, sim::SimOptions{});
-  EXPECT_NEAR(r.work_dispatched, 500.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 500.0, 1e-6);
   // With latencies the real makespan exceeds MI's zero-latency prediction.
   const MiSchedule mi = solve_multi_installment(p, 500.0, 3);
   EXPECT_GT(r.makespan, mi.predicted_makespan);

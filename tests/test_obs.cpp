@@ -10,7 +10,6 @@
 
 #include "core/rumr.hpp"
 #include "core/umr_policy.hpp"
-#include "des/simulator.hpp"
 #include "obs/accumulators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
@@ -144,22 +143,6 @@ TEST(Histogram, ExponentialEdgesGrowGeometrically) {
   EXPECT_DOUBLE_EQ(h.upper_edges()[3], 8.0);
 }
 
-TEST(DesProbe, TracksQueueDepthHighWater) {
-  des::Simulator sim;
-  obs::DesProbe probe;
-  sim.set_observer(&probe);
-  // Three pending at once, then drained; one extra scheduled from a handler.
-  sim.schedule_at(1.0, [] {});
-  sim.schedule_at(2.0, [] {});
-  const des::EventId cancelled = sim.schedule_at(3.0, [] {});
-  EXPECT_EQ(probe.queue_depth_high_water(), 3u);
-  sim.cancel(cancelled);
-  EXPECT_EQ(probe.pending(), 2u);
-  sim.run();
-  EXPECT_EQ(probe.pending(), 0u);
-  EXPECT_EQ(probe.queue_depth_high_water(), 3u);
-}
-
 TEST(EngineProbe, PartitionsWorkerTime) {
   obs::EngineProbe probe(1);
   probe.compute_begin(0, 1.0);   // idle [0, 1)
@@ -251,8 +234,8 @@ TEST(RunMetricsIdentities, HoldUnderFaults) {
   options.faults = faults::FaultSpec::transient(300.0, 30.0);
   const sim::SimResult result = sim::simulate(p, policy, options);
   expect_identities(result);
-  EXPECT_EQ(result.metrics.faults.failures, result.faults.failures);
-  EXPECT_EQ(result.metrics.faults.chunks_redispatched, result.faults.chunks_redispatched);
+  EXPECT_EQ(result.metrics.faults.chunks_lost, result.metrics.faults.chunks_redispatched);
+  EXPECT_NEAR(result.metrics.faults.work_lost, result.metrics.engine.work_redispatched, 1e-9);
   EXPECT_LE(result.metrics.faults.false_suspicions, result.metrics.faults.fencings);
 }
 
@@ -272,6 +255,22 @@ TEST(RunMetricsExport, JsonContainsStableKeysAndBalancedBraces) {
     EXPECT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+}
+
+TEST(RunMetricsExport, IdenticalRunsExportIdenticalBytes) {
+  // The record holds simulated quantities only, so two runs of one
+  // description export the same bytes — no field may read a clock.
+  const platform::StarPlatform p = test_platform();
+  sim::SimOptions options = sim::SimOptions::with_error(0.3, 41);
+  options.faults = faults::FaultSpec::transient(300.0, 30.0);
+  const auto run = [&] {
+    core::RumrPolicy policy(p, 2000.0, core::RumrOptions{.known_error = 0.3});
+    return sim::simulate(p, policy, options).metrics;
+  };
+  const obs::RunMetrics first = run();
+  const obs::RunMetrics second = run();
+  EXPECT_EQ(obs::to_json(first), obs::to_json(second));
+  EXPECT_EQ(obs::to_csv(first), obs::to_csv(second));
 }
 
 TEST(RunMetricsExport, CsvHasHeaderAndPerWorkerRows) {

@@ -67,7 +67,7 @@ TEST_P(AllSchedulers, ConservesWorkAndRespectsLowerBoundsOnRandomScenarios) {
 
     // Work conservation (the engine enforces it too; this asserts the
     // outcome reached the result structure intact).
-    EXPECT_NEAR(r.work_dispatched, s.w_total, 1e-6 * s.w_total) << test_case.name;
+    EXPECT_NEAR(r.metrics.engine.work_dispatched, s.w_total, 1e-6 * s.w_total) << test_case.name;
     double computed = 0.0;
     for (const auto& w : r.workers) computed += w.work;
     EXPECT_NEAR(computed, s.w_total, 1e-6 * s.w_total) << test_case.name;
@@ -82,7 +82,7 @@ TEST_P(AllSchedulers, ConservesWorkAndRespectsLowerBoundsOnRandomScenarios) {
     // Chunk accounting is self-consistent.
     std::size_t chunks = 0;
     for (const auto& w : r.workers) chunks += w.chunks;
-    EXPECT_EQ(chunks, r.chunks_dispatched) << test_case.name;
+    EXPECT_EQ(chunks, r.metrics.engine.dispatches) << test_case.name;
   }
 }
 

@@ -102,7 +102,7 @@ TEST(RumrPolicy, ConservesWorkAcrossPhases) {
   RumrPolicy policy(p, 1000.0, with_error(0.3));
   EXPECT_GT(policy.phase2_work(), 0.0);
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.3, 7));
-  EXPECT_NEAR(r.work_dispatched, 1000.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 1000.0, 1e-6);
   EXPECT_TRUE(policy.finished());
 }
 
@@ -121,7 +121,7 @@ TEST(RumrPolicy, PhaseTwoDispatchesAfterPhaseOne) {
   EXPECT_FALSE(policy.in_phase2());
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.4, 3));
   EXPECT_TRUE(policy.in_phase2());
-  EXPECT_NEAR(r.work_dispatched, 1000.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 1000.0, 1e-6);
 }
 
 TEST(RumrPolicy, InOrderVariantRunsAndConserves) {
@@ -132,7 +132,7 @@ TEST(RumrPolicy, InOrderVariantRunsAndConserves) {
   RumrPolicy policy(p, 1000.0, std::move(options));
   EXPECT_EQ(policy.name(), "RUMR-inorder");
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.3, 5));
-  EXPECT_NEAR(r.work_dispatched, 1000.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 1000.0, 1e-6);
 }
 
 TEST(RumrPolicy, TimetablePhase1DoesNotDeadlock) {
@@ -143,7 +143,7 @@ TEST(RumrPolicy, TimetablePhase1DoesNotDeadlock) {
   options.phase1_order = DispatchOrder::kTimetable;
   RumrPolicy policy(p, 1000.0, std::move(options));
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.3, 17));
-  EXPECT_NEAR(r.work_dispatched, 1000.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 1000.0, 1e-6);
   EXPECT_TRUE(policy.finished());
 }
 
@@ -153,7 +153,7 @@ TEST(RumrPolicy, HonorsCustomFactoringFactor) {
   options.factoring_factor = 3.0;
   RumrPolicy policy(p, 1000.0, std::move(options));
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.5, 11));
-  EXPECT_NEAR(r.work_dispatched, 1000.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 1000.0, 1e-6);
 }
 
 TEST(RumrPolicy, HeterogeneousPhase2WeightsChunksBySpeed) {
@@ -167,7 +167,7 @@ TEST(RumrPolicy, HeterogeneousPhase2WeightsChunksBySpeed) {
   RumrPolicy policy(p, 1000.0, with_error(0.4));
   ASSERT_GT(policy.phase2_work(), 0.0);
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.4, 23));
-  EXPECT_NEAR(r.work_dispatched, 1000.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 1000.0, 1e-6);
   // Fast workers (4x speed) did several times the slow workers' work.
   EXPECT_GT(r.workers[0].work, 2.0 * r.workers[2].work);
 }

@@ -24,8 +24,8 @@ TEST(Engine, SingleChunkMakespanIsAnalytic) {
   StaticSequencePolicy policy("one", {{0, 8.0}});
   const SimResult r = simulate(p, policy, SimOptions{});
   EXPECT_DOUBLE_EQ(r.makespan, 0.25 + 8.0 / 4.0 + 0.125 + 0.5 + 8.0 / 2.0);
-  EXPECT_EQ(r.chunks_dispatched, 1u);
-  EXPECT_DOUBLE_EQ(r.work_dispatched, 8.0);
+  EXPECT_EQ(r.metrics.engine.dispatches, 1u);
+  EXPECT_DOUBLE_EQ(r.metrics.engine.work_dispatched, 8.0);
 }
 
 TEST(Engine, BackToBackChunksOverlapCommunication) {
@@ -203,7 +203,7 @@ TEST(Engine, UplinkBusyTimeAccountsSerialParts) {
       {.workers = 2, .speed = 1.0, .bandwidth = 5.0, .comm_latency = 0.5});
   StaticSequencePolicy policy("s", {{0, 5.0}, {1, 5.0}});
   const SimResult r = simulate(p, policy, SimOptions{});
-  EXPECT_DOUBLE_EQ(r.uplink_busy_time, 2.0 * (0.5 + 1.0));
+  EXPECT_DOUBLE_EQ(r.metrics.engine.uplink_transfer_time, 2.0 * (0.5 + 1.0));
 }
 
 TEST(Engine, WorkerOutcomeAccounting) {
@@ -213,7 +213,7 @@ TEST(Engine, WorkerOutcomeAccounting) {
   EXPECT_EQ(r.workers[0].chunks, 2u);
   EXPECT_DOUBLE_EQ(r.workers[0].work, 8.0);
   EXPECT_DOUBLE_EQ(r.workers[0].busy_time, 2.0 * (0.25 + 2.0));
-  EXPECT_GT(r.mean_worker_utilization(), 0.5);
+  EXPECT_GT(r.metrics.engine.mean_worker_utilization, 0.5);
 }
 
 TEST(Engine, ErrorInjectionPerturbsMakespan) {

@@ -67,7 +67,7 @@ TEST(UplinkChannels, BlockedSendStillHeadOfLine) {
   SimOptions options;
   options.uplink_channels = 2;
   const SimResult r = simulate(p, policy, options);
-  EXPECT_NEAR(r.work_dispatched, 40.0, 1e-9);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 40.0, 1e-9);
   // Worker 1's chunk waits behind worker 0's blocked third chunk: it cannot
   // arrive before worker 0 frees a slot at t = 11.
   EXPECT_GT(r.workers[1].first_start, 11.0);
@@ -90,7 +90,7 @@ TEST(OutputData, ExtendsMakespanByReturnTransfer) {
   options.output_ratio = 0.25;
   const SimResult r = simulate(p, policy, options);
   EXPECT_DOUBLE_EQ(r.makespan, 2.0 + 8.0 + 0.5);
-  EXPECT_DOUBLE_EQ(r.downlink_busy_time, 0.5);
+  EXPECT_DOUBLE_EQ(r.metrics.engine.downlink_busy_time, 0.5);
 }
 
 TEST(OutputData, DownlinkSerializesResults) {
@@ -106,7 +106,7 @@ TEST(OutputData, DownlinkSerializesResults) {
   ASSERT_EQ(outputs.size(), 2u);
   // No overlap between the two output spans.
   EXPECT_LE(outputs[0].end, outputs[1].start + 1e-12);
-  EXPECT_DOUBLE_EQ(r.downlink_busy_time, 2.0);
+  EXPECT_DOUBLE_EQ(r.metrics.engine.downlink_busy_time, 2.0);
 }
 
 TEST(OutputData, ZeroRatioLeavesPaperModelUntouched) {
@@ -141,7 +141,7 @@ TEST(NonStationaryError, RandomWalkRunsAndConserves) {
   options.comp_error = spec;
   options.seed = 33;
   const SimResult r = simulate(p, policy, options);
-  EXPECT_NEAR(r.work_dispatched, 24.0, 1e-9);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 24.0, 1e-9);
   EXPECT_GT(r.makespan, 0.0);
 }
 

@@ -124,7 +124,7 @@ TEST(UmrPolicy, RunsToCompletionInSimulation) {
   for (const DispatchOrder order : {DispatchOrder::kInOrder, DispatchOrder::kOutOfOrder}) {
     UmrPolicy policy(p, 400.0, order);
     const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.3, 99));
-    EXPECT_NEAR(r.work_dispatched, 400.0, 1e-6);
+    EXPECT_NEAR(r.metrics.engine.work_dispatched, 400.0, 1e-6);
     EXPECT_TRUE(policy.finished());
   }
 }
@@ -171,7 +171,7 @@ TEST(UmrPolicy, TimetableConservesUnderError) {
   const platform::StarPlatform p = small_platform();
   UmrPolicy policy(p, 400.0, DispatchOrder::kTimetable);
   const sim::SimResult r = simulate(p, policy, sim::SimOptions::with_error(0.4, 31));
-  EXPECT_NEAR(r.work_dispatched, 400.0, 1e-6);
+  EXPECT_NEAR(r.metrics.engine.work_dispatched, 400.0, 1e-6);
   EXPECT_TRUE(policy.finished());
 }
 

@@ -121,12 +121,13 @@ RunRecord run_cell(const Scenario& scenario, const sweep::AlgorithmSpec& spec,
     record.ok = audit.ok();
     if (!record.ok) record.failure = audit.summary();
     record.makespan = result.makespan;
-    record.retransmits = result.faults.retransmits;
-    record.duplicates_suppressed = result.faults.duplicates_suppressed;
-    record.checkpoints_banked = result.faults.checkpoints_banked;
-    record.work_banked = result.faults.work_banked;
-    record.messages_lost = result.faults.messages_lost;
-    record.fencings = result.faults.suspicions;
+    const obs::FaultStats& faults = result.metrics.faults;
+    record.retransmits = faults.retransmits;
+    record.duplicates_suppressed = faults.duplicates_suppressed;
+    record.checkpoints_banked = faults.checkpoints_banked;
+    record.work_banked = faults.work_banked;
+    record.messages_lost = faults.messages_lost;
+    record.fencings = faults.fencings;
   } catch (const std::exception& error) {
     record.ok = false;
     record.failure = error.what();

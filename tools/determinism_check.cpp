@@ -123,8 +123,9 @@ std::string run_fingerprint(const rumr::sweep::AlgorithmSpec& spec,
 
   std::ostringstream out;
   out << std::setprecision(17);
-  out << "makespan=" << result.makespan << " chunks=" << result.chunks_dispatched
-      << " work=" << result.work_dispatched << " uplink=" << result.uplink_busy_time
+  const rumr::obs::EngineStats& engine = result.metrics.engine;
+  out << "makespan=" << result.makespan << " chunks=" << engine.dispatches
+      << " work=" << engine.work_dispatched << " uplink=" << engine.uplink_transfer_time
       << " events=" << result.events << '\n';
   for (const rumr::sim::WorkerOutcome& w : result.workers) {
     out << "worker work=" << w.work << " chunks=" << w.chunks << " busy=" << w.busy_time

@@ -186,7 +186,7 @@ int main() {
   for (const auto& [key, count] : seen) exactly_once = exactly_once && count == 1;
   // The label is kept verbatim so the demo's stdout stays comparable byte for
   // byte with earlier builds.
-  all_ok &= expect(exactly_once, "buffer(false) streams each of the 4 cells exactly once");
+  all_ok &= expect(exactly_once, "a consumer receives each of the 4 cells exactly once");
 
   std::cout << (all_ok ? "race demo: OK\n" : "race demo: FAILED\n");
   return all_ok ? 0 : 1;

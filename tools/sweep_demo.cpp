@@ -128,7 +128,7 @@ int main() {
   for (const auto& [key, count] : seen) exactly_once = exactly_once && count == 1;
   // The label is kept verbatim so the demo's stdout stays comparable byte for
   // byte with earlier builds.
-  all_ok &= expect(exactly_once, "buffer(false) streams each of the 12 cells exactly once");
+  all_ok &= expect(exactly_once, "a consumer receives each of the 12 cells exactly once");
 
   // 4. Open-system mode: streamed jobs (retain_jobs = false), thread-invariant.
   std::cout << "open-system grid (1 platform x 2 loads, 2 reps, streamed jobs):\n";
