@@ -27,10 +27,17 @@ std::vector<AlgorithmSpec> golden_lineup() {
   return algorithms({"umr", "rumr", "factoring", "mi-2", "wf"});
 }
 
+/// The self-scheduling family at zero latency, where FSC sits on its chunk
+/// floor (100k chunks at N = 10) and every dispatch is a greedy idle pick.
+std::vector<AlgorithmSpec> self_scheduling_lineup() {
+  return algorithms({"fsc", "factoring", "gss", "tss", "rumr"});
+}
+
 /// Full scenario definition: platform + workload + error + seed + faults.
 /// `tune` (optional) adjusts the remaining SimOptions — link-fault spec,
 /// retransmit protocol, checkpoint interval — after the common fields are
-/// set; nullptr leaves the defaults.
+/// set; nullptr leaves the defaults. `lineup` (optional) replaces the
+/// golden line-up.
 struct ScenarioDef {
   const char* name;
   double w_total;
@@ -39,12 +46,19 @@ struct ScenarioDef {
   platform::StarPlatform (*make_platform)();
   faults::FaultSpec (*make_faults)();
   void (*tune)(sim::SimOptions&);
+  std::vector<AlgorithmSpec> (*lineup)() = nullptr;
 };
 
 platform::StarPlatform homogeneous_10() {
   return platform::StarPlatform::homogeneous({.workers = 10, .speed = 1.0, .bandwidth = 15.0,
                                               .comp_latency = 0.05, .comm_latency = 0.02,
                                               .transfer_latency = 0.01});
+}
+
+platform::StarPlatform homogeneous_10_zero_latency() {
+  return platform::StarPlatform::homogeneous({.workers = 10, .speed = 1.0, .bandwidth = 15.0,
+                                              .comp_latency = 0.0, .comm_latency = 0.0,
+                                              .transfer_latency = 0.0});
 }
 
 platform::StarPlatform heterogeneous_4() {
@@ -118,6 +132,10 @@ constexpr ScenarioDef kScenarios[] = {
     {kSweepScenario, 500.0, 0.3, 23, &homogeneous_10, &no_faults, nullptr},
     // race-small is handled by record_race_scenario.
     {kRaceScenario, 500.0, 0.3, 29, &homogeneous_10, &no_faults, nullptr},
+    // cLat = nLat = tLat = 0: pins the greedy idle-worker choice and the
+    // generated chunk sequences of the whole self-scheduling family.
+    {"zero-latency", 1000.0, 0.24, 31, &homogeneous_10_zero_latency, &no_faults, nullptr,
+     &self_scheduling_lineup},
 };
 
 const ScenarioDef& find_scenario(const std::string& name) {
@@ -342,7 +360,7 @@ GoldenScenario record_scenario(const std::string& name) {
   scenario.error = def.error;
   scenario.seed = def.seed;
 
-  for (const AlgorithmSpec& spec : golden_lineup()) {
+  for (const AlgorithmSpec& spec : def.lineup != nullptr ? def.lineup() : golden_lineup()) {
     auto policy = spec.make(platform, def.w_total, def.error);
     sim::SimOptions options = sim::SimOptions::with_error(def.error, def.seed);
     options.faults = def.make_faults();

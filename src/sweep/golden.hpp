@@ -3,7 +3,8 @@
 /// \file golden.hpp
 /// Golden-result regression scenarios: the paper-figure configurations
 /// (UMR / RUMR / Factoring / MI-2 / WF on homogeneous and heterogeneous
-/// platforms, plus a scripted-fault case) reduced to per-run fingerprints
+/// platforms, plus a scripted-fault case, and the self-scheduling family at
+/// zero latency) reduced to per-run fingerprints
 /// that are recorded once (tools/golden_record) into tests/golden/*.json and
 /// replayed by the regression suite (tests/test_golden.cpp).
 ///
