@@ -25,6 +25,54 @@ double empty_round_overhead_work(const platform::StarPlatform& platform) {
   return empty_round_overhead_seconds(platform) * mean_speed;
 }
 
+ChunkSequence::ChunkSequence(double w_total, double size, double floor, double dust)
+    : w_total_(w_total),
+      remaining_(w_total),
+      epsilon_(1e-12 * w_total),
+      size_(size),
+      floor_(floor),
+      dust_(dust) {}
+
+ChunkSequence ChunkSequence::equal(double w_total, double chunk) {
+  return linear(w_total, chunk, 0.0, chunk, 1e-9 * w_total);
+}
+
+ChunkSequence ChunkSequence::batched(double w_total, double divisor, std::size_t batch,
+                                     double floor) {
+  if (!(w_total > 0.0)) return {};
+  ChunkSequence sequence(w_total, 0.0, floor, 0.5 * floor);
+  sequence.divisor_ = divisor;
+  sequence.batch_ = batch;
+  return sequence;
+}
+
+ChunkSequence ChunkSequence::linear(double w_total, double first, double decrement, double floor,
+                                    double dust) {
+  if (!(w_total > 0.0)) return {};
+  ChunkSequence sequence(w_total, first, floor, dust);
+  sequence.decrement_ = decrement;
+  return sequence;
+}
+
+double ChunkSequence::next() noexcept {
+  if (batch_ > 0) {
+    if (step_ == 0) size_ = remaining_ / divisor_;
+    step_ = (step_ + 1) % batch_;
+  }
+  double take = std::min(std::max(size_, floor_), remaining_);
+  if (remaining_ - take < dust_) take = remaining_;
+  remaining_ -= take;
+  size_ -= decrement_;
+  return take;
+}
+
+std::vector<double> ChunkSequence::drain() const {
+  ChunkSequence rest = *this;
+  std::vector<double> chunks;
+  while (!rest.done()) chunks.push_back(rest.next());
+  return chunks;
+}
+
 namespace {
 
 std::vector<std::size_t> iota_workers(std::size_t n) {
@@ -35,44 +83,46 @@ std::vector<std::size_t> iota_workers(std::size_t n) {
 
 }  // namespace
 
-SelfSchedulingPolicy::SelfSchedulingPolicy(std::string name, std::vector<double> chunks,
+SelfSchedulingPolicy::SelfSchedulingPolicy(std::string name, ChunkSequence chunks,
                                            std::size_t num_workers)
-    : SelfSchedulingPolicy(std::move(name), std::move(chunks), iota_workers(num_workers)) {}
+    : SelfSchedulingPolicy(std::move(name), chunks, iota_workers(num_workers)) {}
 
-SelfSchedulingPolicy::SelfSchedulingPolicy(std::string name, std::vector<double> chunks,
+SelfSchedulingPolicy::SelfSchedulingPolicy(std::string name, ChunkSequence chunks,
                                            std::vector<std::size_t> workers)
-    : name_(std::move(name)), workers_(std::move(workers)) {
+    : name_(std::move(name)), chunks_(chunks), workers_(std::move(workers)) {
   if (workers_.empty()) throw std::invalid_argument("self-scheduling needs >= 1 worker");
-  chunks_.reserve(chunks.size());
-  for (double c : chunks) {
-    if (c > 0.0) {
-      chunks_.push_back(c);
-      total_work_ += c;
-    }
-  }
+  position_.assign(*std::max_element(workers_.begin(), workers_.end()) + 1, kNotInSubset);
+  for (std::size_t k = workers_.size(); k-- > 0;) position_[workers_[k]] = k;
 }
 
 std::optional<sim::Dispatch> SelfSchedulingPolicy::next_dispatch(const sim::MasterContext& ctx) {
-  if (cursor_ >= chunks_.size()) return std::nullopt;
+  if (chunks_.done()) return std::nullopt;
 
   // Pure request-driven self-scheduling: feed only alive workers with no
   // outstanding chunk, preferring the one idle the longest (earliest
-  // completion; subset order initially), matching a FIFO request queue.
-  std::size_t best = workers_.size();
-  double best_completion = 0.0;
-  bool any_alive_in_subset = false;
-  for (std::size_t k = 0; k < workers_.size(); ++k) {
-    const sim::WorkerStatus& st = ctx.worker_status(workers_[k]);
-    if (!st.alive) continue;
-    any_alive_in_subset = true;
-    if (st.outstanding > 0) continue;
-    if (best == workers_.size() || st.last_completion < best_completion) {
+  // completion; earliest subset position among equals), matching a FIFO
+  // request queue. The engine lists idle workers by (last_completion,
+  // index), so the first subset member fixes the completion time and only
+  // its ties remain to compare.
+  std::size_t best = kNotInSubset;
+  des::SimTime best_completion = 0.0;
+  for (const std::size_t w : ctx.idle_workers()) {
+    const std::size_t k = w < position_.size() ? position_[w] : kNotInSubset;
+    if (k == kNotInSubset) continue;
+    const des::SimTime completion = ctx.worker_status(w).last_completion;
+    if (best == kNotInSubset) {
       best = k;
-      best_completion = st.last_completion;
+      best_completion = completion;
+    } else if (completion > best_completion) {
+      break;
+    } else {
+      best = std::min(best, k);
     }
   }
-  if (best < workers_.size()) return sim::Dispatch{workers_[best], chunks_[cursor_++]};
-  if (any_alive_in_subset) return std::nullopt;  // Everyone loaded: wait.
+  if (best != kNotInSubset) return sim::Dispatch{workers_[best], chunks_.next()};
+  for (const std::size_t w : workers_) {
+    if (ctx.worker_status(w).alive) return std::nullopt;  // Everyone loaded: wait.
+  }
 
   // Fault fallback: the whole subset is fenced. Rather than strand the
   // remaining chunks, feed the soonest-ready alive worker anywhere on the
@@ -87,47 +137,36 @@ std::optional<sim::Dispatch> SelfSchedulingPolicy::next_dispatch(const sim::Mast
     }
   }
   if (fallback == ctx.num_workers()) return std::nullopt;  // All dead: wait/strand.
-  return sim::Dispatch{fallback, chunks_[cursor_++]};
+  return sim::Dispatch{fallback, chunks_.next()};
+}
+
+ChunkSequence factoring_sequence(double w_total, std::size_t num_workers,
+                                 const FactoringOptions& options) {
+  if (!(w_total > 0.0)) return {};
+  if (num_workers == 0) throw std::invalid_argument("factoring needs >= 1 worker");
+  if (!(options.factor > 1.0)) throw std::invalid_argument("factoring factor must exceed 1");
+  // A strictly positive floor is needed for termination on continuous loads;
+  // 1e-6 of the workload is far below any overhead-relevant size.
+  const double floor_chunk = std::max(options.min_chunk, 1e-6 * w_total);
+  return ChunkSequence::batched(w_total, options.factor * static_cast<double>(num_workers),
+                                num_workers, floor_chunk);
 }
 
 std::vector<double> factoring_chunks(double w_total, std::size_t num_workers,
                                      const FactoringOptions& options) {
-  if (!(w_total > 0.0)) return {};
-  if (num_workers == 0) throw std::invalid_argument("factoring needs >= 1 worker");
-  if (!(options.factor > 1.0)) throw std::invalid_argument("factoring factor must exceed 1");
-
-  const auto n = static_cast<double>(num_workers);
-  // A strictly positive floor is needed for termination on continuous loads;
-  // 1e-6 of the workload is far below any overhead-relevant size.
-  const double floor_chunk = std::max(options.min_chunk, 1e-6 * w_total);
-  const double epsilon = 1e-12 * w_total;
-
-  std::vector<double> chunks;
-  double remaining = w_total;
-  while (remaining > epsilon) {
-    const double batch_chunk = std::max(remaining / (options.factor * n), floor_chunk);
-    for (std::size_t i = 0; i < num_workers && remaining > epsilon; ++i) {
-      double take = std::min(batch_chunk, remaining);
-      // Absorb a vanishing remainder into this chunk instead of emitting a
-      // degenerate extra one.
-      if (remaining - take < 0.5 * floor_chunk) take = remaining;
-      chunks.push_back(take);
-      remaining -= take;
-    }
-  }
-  return chunks;
+  return factoring_sequence(w_total, num_workers, options).drain();
 }
 
 FactoringPolicy::FactoringPolicy(double w_total, std::size_t num_workers,
                                  const FactoringOptions& options)
-    : SelfSchedulingPolicy("Factoring", factoring_chunks(w_total, num_workers, options),
+    : SelfSchedulingPolicy("Factoring", factoring_sequence(w_total, num_workers, options),
                            num_workers) {}
 
 FactoringPolicy::FactoringPolicy(double w_total, std::vector<std::size_t> workers,
                                  const FactoringOptions& options)
     // Note: `workers` is passed by value (not moved) because the first
     // argument reads workers.size() and evaluation order is unspecified.
-    : SelfSchedulingPolicy("Factoring", factoring_chunks(w_total, workers.size(), options),
+    : SelfSchedulingPolicy("Factoring", factoring_sequence(w_total, workers.size(), options),
                            workers) {}
 
 std::unique_ptr<sim::SchedulerPolicy> make_factoring_policy(

@@ -37,33 +37,90 @@ namespace rumr::baselines {
 /// worker speed, so it is commensurable with chunk sizes.
 [[nodiscard]] double empty_round_overhead_work(const platform::StarPlatform& platform);
 
-/// Base for policies that dispatch a precomputed queue of chunk sizes
-/// greedily to idle workers (pure self-scheduling: a worker is fed only when
-/// it has no outstanding chunk).
+/// A self-scheduling chunk-size sequence, generated one chunk at a time from
+/// the work that remains rather than materialised up front. Every rule of the
+/// family takes the same step,
+///
+///     take = min(max(size, floor), remaining)
+///     if (remaining - take < dust) take = remaining    // absorb the dust
+///
+/// and stops once remaining <= 1e-12 * W. The rules differ only in `size`:
+///   - batched: remaining / divisor, taken at the start of each batch of
+///     `batch` chunks (Factoring: divisor f*N, batch N; GSS: divisor N,
+///     batch 1);
+///   - linear: `first`, falling by `decrement` after every chunk (TSS; FSC
+///     and CSS are the equal-size case, decrement 0).
+class ChunkSequence {
+ public:
+  /// The empty sequence.
+  ChunkSequence() = default;
+
+  /// Equal chunks of `chunk` units; the last one absorbs a remainder below
+  /// 1e-9 * W. Shared by FSC and CSS.
+  [[nodiscard]] static ChunkSequence equal(double w_total, double chunk);
+  /// Batched decreasing chunks (Factoring, GSS). `floor` also sets the dust
+  /// threshold, floor / 2.
+  [[nodiscard]] static ChunkSequence batched(double w_total, double divisor, std::size_t batch,
+                                             double floor);
+  /// Linearly decreasing chunks (TSS).
+  [[nodiscard]] static ChunkSequence linear(double w_total, double first, double decrement,
+                                            double floor, double dust);
+
+  [[nodiscard]] bool done() const noexcept { return !(remaining_ > epsilon_); }
+  /// The next chunk size (> 0). Precondition: !done().
+  double next() noexcept;
+  /// The requested workload W (0 for W <= 0). The generated chunks sum to it
+  /// within 1e-12 * W plus rounding.
+  [[nodiscard]] double total_work() const noexcept { return w_total_; }
+  /// The chunks still to come, generated from a copy (for inspection and
+  /// tests; the sequence itself does not advance).
+  [[nodiscard]] std::vector<double> drain() const;
+
+ private:
+  ChunkSequence(double w_total, double size, double floor, double dust);
+
+  double w_total_ = 0.0;
+  double remaining_ = 0.0;
+  double epsilon_ = 0.0;
+  double size_ = 0.0;
+  double floor_ = 0.0;
+  double dust_ = 0.0;
+  double decrement_ = 0.0;  ///< Linear rules.
+  double divisor_ = 0.0;    ///< Batched rules.
+  std::size_t batch_ = 0;   ///< Batched rules: chunks per batch (0 = linear).
+  std::size_t step_ = 0;    ///< Batched rules: position within the batch.
+};
+
+/// Base for policies that feed a generated chunk sequence greedily to idle
+/// workers (pure self-scheduling: a worker is fed only when it has no
+/// outstanding chunk).
 class SelfSchedulingPolicy : public sim::SchedulerPolicy {
  public:
   /// Feeds chunks to workers 0..num_workers-1.
-  SelfSchedulingPolicy(std::string name, std::vector<double> chunks, std::size_t num_workers);
+  SelfSchedulingPolicy(std::string name, ChunkSequence chunks, std::size_t num_workers);
 
-  /// Feeds chunks to an explicit worker subset (platform indices). Used by
+  /// Feeds chunks to an explicit worker subset (platform indices). Among
+  /// equally long-idle workers the earliest subset position wins. Used by
   /// RUMR so phase 2 stays on the workers phase 1 selected.
-  SelfSchedulingPolicy(std::string name, std::vector<double> chunks,
-                       std::vector<std::size_t> workers);
+  SelfSchedulingPolicy(std::string name, ChunkSequence chunks, std::vector<std::size_t> workers);
 
   [[nodiscard]] std::string_view name() const override { return name_; }
   std::optional<sim::Dispatch> next_dispatch(const sim::MasterContext& ctx) override;
-  [[nodiscard]] bool finished() const override { return cursor_ >= chunks_.size(); }
-  [[nodiscard]] double total_work() const override { return total_work_; }
+  [[nodiscard]] bool finished() const override { return chunks_.done(); }
+  [[nodiscard]] double total_work() const override { return chunks_.total_work(); }
 
-  /// The precomputed chunk-size sequence, for inspection/testing.
-  [[nodiscard]] const std::vector<double>& chunk_sequence() const noexcept { return chunks_; }
+  /// The chunk sizes still to be dispatched, for inspection/testing.
+  [[nodiscard]] std::vector<double> chunk_sequence() const { return chunks_.drain(); }
 
  private:
+  static constexpr std::size_t kNotInSubset = static_cast<std::size_t>(-1);
+
   std::string name_;
-  std::vector<double> chunks_;
-  std::size_t cursor_ = 0;
+  ChunkSequence chunks_;
   std::vector<std::size_t> workers_;
-  double total_work_ = 0.0;
+  /// position_[w]: the first subset position of platform worker w, or
+  /// kNotInSubset.
+  std::vector<std::size_t> position_;
 };
 
 /// Options for the factoring chunk-size sequence.
@@ -72,12 +129,17 @@ struct FactoringOptions {
   double min_chunk = 0.0;  ///< Lower bound on chunk size (workload units).
 };
 
-/// Computes the factoring chunk-size sequence for `w_total` units over
-/// `num_workers` workers. The sequence sums exactly to w_total.
+/// The factoring chunk-size sequence for `w_total` units over `num_workers`
+/// workers: batches of N chunks of max(remaining / (f * N), floor), with the
+/// floor at least 1e-6 * W.
+[[nodiscard]] ChunkSequence factoring_sequence(double w_total, std::size_t num_workers,
+                                               const FactoringOptions& options = {});
+
+/// factoring_sequence drained into a vector. Sums exactly to w_total.
 [[nodiscard]] std::vector<double> factoring_chunks(double w_total, std::size_t num_workers,
                                                    const FactoringOptions& options = {});
 
-/// The Factoring policy: precomputed decreasing chunks, greedy dispatch.
+/// The Factoring policy: generated decreasing chunks, greedy dispatch.
 class FactoringPolicy : public SelfSchedulingPolicy {
  public:
   FactoringPolicy(double w_total, std::size_t num_workers, const FactoringOptions& options = {});

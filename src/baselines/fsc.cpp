@@ -3,28 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <vector>
 
 namespace rumr::baselines {
-
-namespace {
-
-/// Equal chunks of size `chunk` covering w_total (last chunk may be smaller,
-/// with a vanishing remainder absorbed).
-std::vector<double> equal_chunks(double w_total, double chunk) {
-  std::vector<double> chunks;
-  double remaining = w_total;
-  const double epsilon = 1e-12 * w_total;
-  while (remaining > epsilon) {
-    double take = std::min(chunk, remaining);
-    if (remaining - take < 1e-9 * w_total) take = remaining;
-    chunks.push_back(take);
-    remaining -= take;
-  }
-  return chunks;
-}
-
-}  // namespace
 
 double fsc_chunk_size(const platform::StarPlatform& platform, double w_total, double error) {
   const auto n = static_cast<double>(platform.size());
@@ -46,7 +26,8 @@ double fsc_chunk_size(const platform::StarPlatform& platform, double w_total, do
 }
 
 FscPolicy::FscPolicy(const platform::StarPlatform& platform, double w_total, double error)
-    : SelfSchedulingPolicy("FSC", equal_chunks(w_total, fsc_chunk_size(platform, w_total, error)),
+    : SelfSchedulingPolicy("FSC",
+                           ChunkSequence::equal(w_total, fsc_chunk_size(platform, w_total, error)),
                            platform.size()) {}
 
 std::unique_ptr<sim::SchedulerPolicy> make_fsc_policy(const platform::StarPlatform& platform,

@@ -6,27 +6,18 @@
 
 namespace rumr::baselines {
 
-std::vector<double> gss_chunks(double w_total, std::size_t num_workers, double min_chunk) {
+ChunkSequence gss_sequence(double w_total, std::size_t num_workers, double min_chunk) {
   if (!(w_total > 0.0)) return {};
   if (num_workers == 0) throw std::invalid_argument("GSS needs >= 1 worker");
-  const auto n = static_cast<double>(num_workers);
   const double floor_chunk = std::max(min_chunk, 1e-6 * w_total);
-  const double epsilon = 1e-12 * w_total;
-
-  std::vector<double> chunks;
-  double remaining = w_total;
-  while (remaining > epsilon) {
-    double take = std::max(remaining / n, floor_chunk);
-    take = std::min(take, remaining);
-    if (remaining - take < 0.5 * floor_chunk) take = remaining;
-    chunks.push_back(take);
-    remaining -= take;
-  }
-  return chunks;
+  return ChunkSequence::batched(w_total, static_cast<double>(num_workers), 1, floor_chunk);
 }
 
-std::vector<double> tss_chunks(double w_total, std::size_t num_workers,
-                               const TssOptions& options) {
+std::vector<double> gss_chunks(double w_total, std::size_t num_workers, double min_chunk) {
+  return gss_sequence(w_total, num_workers, min_chunk).drain();
+}
+
+ChunkSequence tss_sequence(double w_total, std::size_t num_workers, const TssOptions& options) {
   if (!(w_total > 0.0)) return {};
   if (num_workers == 0) throw std::invalid_argument("TSS needs >= 1 worker");
   if (!(options.last > 0.0)) throw std::invalid_argument("TSS last chunk must be positive");
@@ -39,19 +30,12 @@ std::vector<double> tss_chunks(double w_total, std::size_t num_workers,
   // about ceil(2W / (f + l)); the per-dispatch decrement follows.
   const double count = std::max(1.0, std::ceil(2.0 * w_total / (first + last)));
   const double decrement = count > 1.0 ? (first - last) / (count - 1.0) : 0.0;
+  return ChunkSequence::linear(w_total, first, decrement, last, 0.5 * last);
+}
 
-  std::vector<double> chunks;
-  double remaining = w_total;
-  double size = first;
-  const double epsilon = 1e-12 * w_total;
-  while (remaining > epsilon) {
-    double take = std::min(std::max(size, last), remaining);
-    if (remaining - take < 0.5 * last) take = remaining;  // Absorb the dust.
-    chunks.push_back(take);
-    remaining -= take;
-    size -= decrement;
-  }
-  return chunks;
+std::vector<double> tss_chunks(double w_total, std::size_t num_workers,
+                               const TssOptions& options) {
+  return tss_sequence(w_total, num_workers, options).drain();
 }
 
 std::vector<std::pair<std::size_t, double>> weighted_factoring_chunks(
@@ -85,29 +69,22 @@ std::vector<std::pair<std::size_t, double>> weighted_factoring_chunks(
 }
 
 GssPolicy::GssPolicy(double w_total, std::size_t num_workers, double min_chunk)
-    : SelfSchedulingPolicy("GSS", gss_chunks(w_total, num_workers, min_chunk), num_workers) {}
+    : SelfSchedulingPolicy("GSS", gss_sequence(w_total, num_workers, min_chunk), num_workers) {}
 
 TssPolicy::TssPolicy(double w_total, std::size_t num_workers, const TssOptions& options)
-    : SelfSchedulingPolicy("TSS", tss_chunks(w_total, num_workers, options), num_workers) {}
+    : SelfSchedulingPolicy("TSS", tss_sequence(w_total, num_workers, options), num_workers) {}
+
+namespace {
+
+ChunkSequence css_sequence(double w_total, double chunk_size) {
+  if (!(chunk_size > 0.0)) throw std::invalid_argument("CSS chunk size must be positive");
+  return ChunkSequence::equal(w_total, chunk_size);
+}
+
+}  // namespace
 
 CssPolicy::CssPolicy(double w_total, std::size_t num_workers, double chunk_size)
-    : SelfSchedulingPolicy("CSS",
-                           [&] {
-                             if (!(chunk_size > 0.0)) {
-                               throw std::invalid_argument("CSS chunk size must be positive");
-                             }
-                             std::vector<double> chunks;
-                             double remaining = w_total;
-                             const double epsilon = 1e-12 * w_total;
-                             while (remaining > epsilon) {
-                               double take = std::min(chunk_size, remaining);
-                               if (remaining - take < 1e-9 * w_total) take = remaining;
-                               chunks.push_back(take);
-                               remaining -= take;
-                             }
-                             return chunks;
-                           }(),
-                           num_workers) {}
+    : SelfSchedulingPolicy("CSS", css_sequence(w_total, chunk_size), num_workers) {}
 
 WeightedFactoringPolicy::WeightedFactoringPolicy(const platform::StarPlatform& platform,
                                                  double w_total, const FactoringOptions& options) {

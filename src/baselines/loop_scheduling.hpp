@@ -34,7 +34,11 @@
 namespace rumr::baselines {
 
 /// GSS chunk sequence: chunk_k = max(remaining / N, min_chunk) until the
-/// workload is exhausted. Sums exactly to w_total.
+/// workload is exhausted (the floor is at least 1e-6 * W).
+[[nodiscard]] ChunkSequence gss_sequence(double w_total, std::size_t num_workers,
+                                         double min_chunk = 0.0);
+
+/// gss_sequence drained into a vector. Sums exactly to w_total.
 [[nodiscard]] std::vector<double> gss_chunks(double w_total, std::size_t num_workers,
                                              double min_chunk = 0.0);
 
@@ -45,8 +49,12 @@ struct TssOptions {
   double last = 1.0;   ///< Final chunk size (work units). Must be > 0.
 };
 
-/// TSS chunk sequence: linear decay from `first` to `last`. Sums exactly to
-/// w_total (the final chunk absorbs rounding).
+/// TSS chunk sequence: linear decay from `first` to `last`.
+[[nodiscard]] ChunkSequence tss_sequence(double w_total, std::size_t num_workers,
+                                         const TssOptions& options = {});
+
+/// tss_sequence drained into a vector. Sums exactly to w_total (the final
+/// chunk absorbs rounding).
 [[nodiscard]] std::vector<double> tss_chunks(double w_total, std::size_t num_workers,
                                              const TssOptions& options = {});
 

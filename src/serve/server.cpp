@@ -55,6 +55,10 @@ std::string serialize_plan(const sim::SimResult& result, std::uint64_t fingerpri
   return plan;
 }
 
+/// Ping and stats: answered at receipt, outside admission control.
+bool is_control(const Request& request) {
+  return request.type == RequestType::kPing || request.type == RequestType::kStats;
+}
 
 }  // namespace
 
@@ -82,25 +86,34 @@ Server::Server(const ServerOptions& options)
 Server::~Server() { wait_idle(); }
 
 std::future<std::string> Server::submit(std::string payload) {
-  std::promise<std::string> promise;
-  std::future<std::string> future = promise.get_future();
-
   Request request;
   try {
     request = parse_request(payload);
   } catch (const ProtocolError& e) {
-    // Well-framed but not a request: answered in place, counted as a
-    // protocol error. The envelope never parsed, so no id is known.
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.received += 1;
-    stats_.protocol_errors += 1;
-    stats_.admitted += 1;
-    stats_.completed += 1;
-    promise.set_value(make_error_response(-1, e.what()));
-    return future;
+    return answer_malformed(e);
   }
+  return admit(std::move(request));
+}
 
-  if (request.type == RequestType::kPing || request.type == RequestType::kStats) {
+std::future<std::string> Server::answer_malformed(const ProtocolError& e) {
+  // Well-framed but not a request: answered in place, counted as a protocol
+  // error. The envelope never parsed, so no id is known.
+  std::promise<std::string> promise;
+  std::future<std::string> future = promise.get_future();
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_.received += 1;
+  stats_.protocol_errors += 1;
+  stats_.admitted += 1;
+  stats_.completed += 1;
+  promise.set_value(make_error_response(-1, e.what()));
+  return future;
+}
+
+std::future<std::string> Server::admit(Request request) {
+  std::promise<std::string> promise;
+  std::future<std::string> future = promise.get_future();
+
+  if (is_control(request)) {
     // Control requests bypass the queue: they must answer even when the
     // executor is saturated (that is what makes stats useful under load).
     {
@@ -293,7 +306,20 @@ void Server::serve_stream(std::istream& in, std::ostream& out) {
     for (;;) {
       std::optional<std::string> payload = read_frame(in);
       if (!payload) break;
-      in_flight.push_back(submit(std::move(*payload)));
+      Request request;
+      try {
+        request = parse_request(*payload);
+      } catch (const ProtocolError& e) {
+        in_flight.push_back(answer_malformed(e));
+        continue;
+      }
+      // A control request is answered at receipt. Within a stream it comes
+      // after the frames before it: a stats snapshot then covers the batches
+      // the client sent ahead of it.
+      if (is_control(request)) {
+        while (!in_flight.empty()) drain_one();
+      }
+      in_flight.push_back(admit(std::move(request)));
       while (in_flight.size() >= kMaxInFlight) drain_one();
     }
     while (!in_flight.empty()) drain_one();

@@ -83,7 +83,8 @@ class Server {
   /// `out` in request order (concurrency happens between in-flight
   /// requests, not in the response order). A session-fatal framing error
   /// (bad magic/version/flags, oversized or truncated frame) writes one
-  /// final error frame and closes the session.
+  /// final error frame and closes the session. Unlike submit(), a ping or
+  /// stats frame is answered only after every frame before it in the stream.
   void serve_stream(std::istream& in, std::ostream& out);
 
   /// Blocks until no request is in service or queued.
@@ -99,6 +100,11 @@ class Server {
     std::uint64_t seq = 0;  ///< Arrival order (FCFS / tie-break key).
   };
 
+  /// submit() after parsing: control requests are answered now, batches go
+  /// through admission control.
+  [[nodiscard]] std::future<std::string> admit(Request request);
+  /// The response to a well-framed payload that is not a request.
+  [[nodiscard]] std::future<std::string> answer_malformed(const ProtocolError& e);
   /// Executes one batch request to a response payload (no locks held).
   [[nodiscard]] std::string execute_batch(const Request& request);
   /// Solves one query cold (the cache-miss path).

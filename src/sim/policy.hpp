@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "des/simulator.hpp"
@@ -74,6 +75,10 @@ class MasterContext {
   /// True when worker i has a free receive buffer slot: a send to it would
   /// start immediately instead of blocking the uplink (rendezvous).
   [[nodiscard]] virtual bool can_receive(std::size_t i) const = 0;
+  /// The master's request queue: every worker whose status is alive with no
+  /// outstanding chunk, ordered by (last_completion, worker index), so the
+  /// longest-idle worker comes first. Valid until the next dispatch.
+  [[nodiscard]] virtual std::span<const std::size_t> idle_workers() const = 0;
 };
 
 /// Interface every scheduling algorithm implements.

@@ -146,14 +146,22 @@ TEST(FactoringPolicy, FactoryUsesOverheadFloor) {
 }
 
 TEST(SelfScheduling, RejectsEmptyWorkerSet) {
-  EXPECT_THROW(SelfSchedulingPolicy("x", {1.0}, std::vector<std::size_t>{}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      SelfSchedulingPolicy("x", ChunkSequence::equal(1.0, 1.0), std::vector<std::size_t>{}),
+      std::invalid_argument);
 }
 
-TEST(SelfScheduling, DropsNonPositiveChunks) {
-  SelfSchedulingPolicy policy("x", {1.0, 0.0, -2.0, 3.0}, 2);
-  EXPECT_EQ(policy.chunk_sequence().size(), 2u);
+TEST(SelfScheduling, TotalWorkIsTheRequestedWorkload) {
+  SelfSchedulingPolicy policy("x", ChunkSequence::equal(4.0, 1.5), 2);
+  EXPECT_EQ(policy.chunk_sequence(), (std::vector<double>{1.5, 1.5, 1.0}));
   EXPECT_DOUBLE_EQ(policy.total_work(), 4.0);
+  // Non-positive work yields no chunks and nothing to conserve.
+  for (const double w : {0.0, -2.0}) {
+    SelfSchedulingPolicy empty("x", ChunkSequence::equal(w, 1.0), 2);
+    EXPECT_TRUE(empty.finished());
+    EXPECT_TRUE(empty.chunk_sequence().empty());
+    EXPECT_DOUBLE_EQ(empty.total_work(), 0.0);
+  }
 }
 
 }  // namespace

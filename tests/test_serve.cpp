@@ -24,6 +24,7 @@
 #include "serve/plan_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serve_config.hpp"
+#include "util/json_lite.hpp"
 
 namespace rumr::serve {
 namespace {
@@ -498,6 +499,31 @@ TEST(ServeServer, StreamSessionAnswersInRequestOrder) {
   EXPECT_EQ(responses[1], responses[2]);
   EXPECT_NE(responses[3].find("\"type\":\"stats\""), std::string::npos);
   EXPECT_EQ(server.stats().plan_cache.hits, 2u);
+}
+
+TEST(ServeServer, StreamStatsCoversTheBatchesBeforeIt) {
+  // Two pool threads serve the batches while the stats frame arrives; in a
+  // stream the snapshot must still come after both, as sent.
+  const std::string batch =
+      batch_json(2, {query_json(1), query_json(2), query_json(3), query_json(4)});
+  std::stringstream in;
+  write_frame(in, batch);
+  write_frame(in, batch);
+  write_frame(in, "{\"type\":\"stats\",\"id\":9}");
+
+  std::stringstream out;
+  ServerOptions options;
+  options.threads = 2;
+  Server server{options};
+  server.serve_stream(in, out);
+
+  std::vector<std::string> responses;
+  while (auto frame = read_frame(out)) responses.push_back(*std::move(frame));
+  ASSERT_EQ(responses.size(), 3u);
+  const util::JsonValue cache =
+      util::JsonValue::parse(responses[2]).at("stats").at("plan_cache");
+  EXPECT_EQ(cache.at("lookups").as_number(), 8.0);
+  EXPECT_GE(cache.at("hits").as_number(), 4.0);
 }
 
 TEST(ServeServer, StreamSessionClosesOnFatalFramingError) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "sim/master_worker.hpp"
@@ -30,11 +32,22 @@ class StubContext : public sim::MasterContext {
     return status_.at(i);
   }
   [[nodiscard]] bool can_receive(std::size_t i) const override { return receivable_.empty() || receivable_.at(i); }
+  [[nodiscard]] std::span<const std::size_t> idle_workers() const override {
+    idle_.clear();
+    for (std::size_t w = 0; w < status_.size(); ++w) {
+      if (status_[w].alive && status_[w].outstanding == 0) idle_.push_back(w);
+    }
+    std::stable_sort(idle_.begin(), idle_.end(), [this](std::size_t a, std::size_t b) {
+      return status_[a].last_completion < status_[b].last_completion;
+    });
+    return idle_;
+  }
 
   des::SimTime now_ = 0.0;
   const platform::StarPlatform& platform_;
   std::vector<sim::WorkerStatus> status_;
   std::vector<bool> receivable_;
+  mutable std::vector<std::size_t> idle_;
 };
 
 TEST(UmrPolicy, InOrderIsStrictRoundRobin) {
